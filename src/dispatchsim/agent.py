@@ -217,20 +217,34 @@ class DQNAgent:
     # -- learning ---------------------------------------------------------------
 
     def train_step(self) -> Optional[float]:
-        """One double-q gradient step; skipped until the buffer warms up."""
+        """One double-q gradient step; skipped until the buffer warms up.
+
+        The targets of the whole minibatch take two forwards: the online
+        network scores every next candidate of the non-terminal samples at
+        once, a segment argmax picks each sample's first best row, and the
+        target network evaluates the picked rows.
+        """
         if self.buffer.size < self.cfg.learning_starts:
             return None
         batch = self.buffer.sample(self.cfg.batch_size, self.explore_rng)
         x = np.stack([t.state_action for t in batch])
-        y = np.empty(len(batch), dtype=np.float32)
-        for i, t in enumerate(batch):
-            if t.terminal:
-                y[i] = t.reward
-            else:
-                q_online = self.online.forward(t.next_candidates)
-                best = int(np.argmax(q_online))
-                q_eval = float(self.target.forward(t.next_candidates[best])[0])
-                y[i] = t.reward + self.cfg.gamma**t.sojourn * q_eval
+        y = np.array([t.reward for t in batch], dtype=np.float32)
+        live = [i for i, t in enumerate(batch) if not t.terminal]
+        if live:
+            rows = np.concatenate([batch[i].next_candidates for i in live])
+            sizes = [len(batch[i].next_candidates) for i in live]
+            starts = np.cumsum([0] + sizes[:-1])
+            q_online = self.online.forward(rows)
+            seg_max = np.repeat(np.maximum.reduceat(q_online, starts), sizes)
+            n = len(q_online)
+            # lowest row of each segment that attains its max, as np.argmax
+            best = np.minimum.reduceat(
+                np.where(q_online == seg_max, np.arange(n), n), starts
+            )
+            q_eval = self.target.forward(rows[best])
+            for i, q in zip(live, q_eval.tolist()):
+                t = batch[i]
+                y[i] = t.reward + self.cfg.gamma**t.sojourn * q
         loss = self.online.train_batch(x, y, self.cfg.learning_rate)
         self.loss_history.append(loss)
         self.gradient_steps += 1

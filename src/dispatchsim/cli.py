@@ -6,7 +6,7 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, Scenario, parse_config, parse_lines
+from .config import SCENARIO_RATIOS, ConfigError, Scenario, parse_config, parse_lines
 from .harness import (
     demand_source_from_config,
     emit_report,
@@ -48,7 +48,7 @@ def main(argv=None) -> int:
     p_sim = sub.add_parser("simulate", help="run one day with one policy")
     _add_common(p_sim)
     p_sim.add_argument("--policy", default="nn", help="fifo|lifo|nn|random|dqn")
-    p_sim.add_argument("--scenario", default="medium")
+    p_sim.add_argument("--scenario", default="medium", choices=tuple(SCENARIO_RATIOS))
     p_sim.add_argument("--day", type=int, default=0, help="day index (day-of-week = day %% 7)")
     p_sim.add_argument("--checkpoint-dir", help="where dqn checkpoints live")
 

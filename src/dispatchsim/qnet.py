@@ -47,6 +47,9 @@ class QNetwork:
     ):
         if len(dims) < 2 or dims[-1] != 1:
             raise ValueError(f"dims must end in a scalar output, got {dims}")
+        if not 0.0 <= leaky_slope <= 1.0:
+            # forward computes the activation as max(z, slope * z)
+            raise ValueError(f"leaky_slope must be in [0, 1], got {leaky_slope}")
         self.dims = tuple(int(d) for d in dims)
         self.dtype = np.dtype(dtype)
         self.leaky_slope = leaky_slope
@@ -76,9 +79,23 @@ class QNetwork:
     # -- forward / backward ---------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Q-values for a batch (n, in_dim) -> (n,).  A single vector is fine too."""
-        q, _ = self._forward_cached(np.atleast_2d(np.asarray(x, dtype=self.dtype)))
-        return q
+        """Q-values for a batch (n, in_dim) -> (n,).  A single vector is fine too.
+
+        Builds no backward cache and checks finiteness once, on the output:
+        a non-finite value in any layer propagates to it.  Only then is the
+        cached pass re-run, so the error names the first bad layer.
+        """
+        x = np.atleast_2d(np.asarray(x, dtype=self.dtype))
+        h = x
+        last = len(self.weights) - 1
+        slope = self.dtype.type(self.leaky_slope)
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = h @ w
+            z += b
+            h = np.maximum(z, slope * z) if i < last else z
+        if not np.isfinite(h).all():
+            self._forward_cached(x)
+        return h[:, 0]
 
     def _forward_cached(self, x: np.ndarray) -> Tuple[np.ndarray, list]:
         cache = []

@@ -1,5 +1,6 @@
 """Reward shaping, replay storage and the double-q update rule."""
 
+import copy
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from dispatchsim.agent import (
     plain_reward,
 )
 from dispatchsim.engine import ProposalOutcome
+from dispatchsim.qnet import QNetwork
 
 
 def agent(name="t", input_dim=4, seed=0, **overrides):
@@ -290,6 +292,18 @@ def test_no_training_below_warmup():
     assert a.gradient_steps == 1
 
 
+def make_linear(net, w_row):
+    for w in net.weights:
+        w[...] = 0.0
+    for b in net.biases:
+        b[...] = 0.0
+    # leaky-free path: route input 0 and 1 through separate hidden units
+    net.weights[0][0, 0] = w_row[0]
+    net.weights[0][1, 1] = w_row[1]
+    net.weights[-1][0, 0] = 1.0
+    net.weights[-1][1, 0] = 1.0
+
+
 def test_double_q_target_uses_online_argmax_target_value():
     # make the two networks disagree on which candidate is best, then check
     # the regression target follows online's argmax but target's value
@@ -301,17 +315,6 @@ def test_double_q_target_uses_online_argmax_target_value():
         gamma=0.9,
         hidden_dims=(2,),
     )
-
-    def make_linear(net, w_row):
-        for w in net.weights:
-            w[...] = 0.0
-        for b in net.biases:
-            b[...] = 0.0
-        # leaky-free path: route input 0 and 1 through separate hidden units
-        net.weights[0][0, 0] = w_row[0]
-        net.weights[0][1, 1] = w_row[1]
-        net.weights[-1][0, 0] = 1.0
-        net.weights[-1][1, 0] = 1.0
 
     nxt = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
     # online prefers candidate 1, target values it at 5
@@ -334,6 +337,93 @@ def test_double_q_target_uses_online_argmax_target_value():
     d = abs(pred - expected_y)
     expected_loss = 0.5 * d * d if d < 1 else d - 0.5
     assert loss == pytest.approx(expected_loss, rel=1e-5)
+
+
+def capture_targets(a):
+    """Record the regression targets train_step hands to the online network."""
+    seen = []
+    train_batch = a.online.train_batch
+
+    def capture(x, y, lr):
+        seen.append(np.array(y, copy=True))
+        return train_batch(x, y, lr)
+
+    a.online.train_batch = capture
+    return seen
+
+
+def reference_targets(a, batch):
+    """Per-sample double-q targets: one online and one target forward each."""
+    y = np.empty(len(batch), dtype=np.float32)
+    for i, t in enumerate(batch):
+        if t.terminal:
+            y[i] = t.reward
+        else:
+            best = int(np.argmax(a.online.forward(t.next_candidates)))
+            q_eval = float(a.target.forward(t.next_candidates[best])[0])
+            y[i] = t.reward + a.cfg.gamma**t.sojourn * q_eval
+    return y
+
+
+def test_batched_targets_match_per_sample_reference():
+    a = agent(input_dim=4, learning_starts=1, batch_size=32, seed=3)
+    # a target network that disagrees with the online one
+    a.target.copy_from(QNetwork(a.online.dims, rng=np.random.default_rng(99)))
+    rng = np.random.default_rng(5)
+    for k in range(12):
+        rows = (1, 2, 7, None)[k % 4]
+        a.buffer.push(
+            Transition(
+                state_action=rng.standard_normal(4).astype(np.float32),
+                reward=float(rng.uniform(0.0, 10.0)),
+                sojourn=float(rng.uniform(0.5, 30.0)),
+                next_candidates=(
+                    None if rows is None
+                    else rng.standard_normal((rows, 4)).astype(np.float32)
+                ),
+                terminal=rows is None,
+            )
+        )
+    seen = capture_targets(a)
+    for _ in range(5):
+        batch = a.buffer.sample(a.cfg.batch_size, copy.deepcopy(a.explore_rng))
+        expected = reference_targets(a, batch)
+        assert any(t.terminal for t in batch) and not all(t.terminal for t in batch)
+        a.train_step()
+        np.testing.assert_allclose(seen[-1], expected, rtol=1e-6)
+
+
+def test_batched_target_breaks_online_ties_by_first_row():
+    a = agent(input_dim=2, learning_starts=1, batch_size=8, gamma=0.9, hidden_dims=(2,))
+    # online scores rows 1 and 2 equally (1.0) and row 0 lower; target values
+    # them at 7 and 5, so only the first tied row gives 7
+    make_linear(a.online, (1.0, 1.0))
+    make_linear(a.target, (7.0, 5.0))
+    nxt = np.array([[0.5, 0.0], [1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
+    a.buffer.push(
+        Transition(
+            state_action=np.array([0.3, 0.4], dtype=np.float32),
+            reward=2.0,
+            sojourn=3.0,
+            next_candidates=nxt,
+            terminal=False,
+        )
+    )
+    a.buffer.push(
+        Transition(
+            state_action=np.array([0.1, 0.2], dtype=np.float32),
+            reward=4.0,
+            sojourn=1.0,
+            next_candidates=None,
+            terminal=True,
+        )
+    )
+    seen = capture_targets(a)
+    batch = a.buffer.sample(a.cfg.batch_size, copy.deepcopy(a.explore_rng))
+    assert any(t.terminal for t in batch) and not all(t.terminal for t in batch)
+    a.train_step()
+    expected = [4.0 if t.terminal else 2.0 + 0.9**3.0 * 7.0 for t in batch]
+    np.testing.assert_allclose(seen[0], expected, rtol=1e-6)
 
 
 def test_terminal_target_is_plain_reward():

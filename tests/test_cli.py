@@ -85,6 +85,14 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unknown_scenario_exits_2(cfg_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(cfg_file), "--scenario", "bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--scenario" in err and "bogus" in err
+
+
 def test_missing_checkpoints_exit_2(cfg_file, tmp_path, capsys):
     cfg = cfg_file.read_text().replace("policies=fifo,nn", "policies=dqn")
     cfg_file.write_text(cfg)

@@ -208,3 +208,25 @@ def test_records_mode_requires_path():
     cfg = small_cfg(demand_mode="records")
     with pytest.raises(Exception, match="records_path"):
         demand_source_from_config(cfg, 10)
+
+
+# SHA-256 of per_day.csv for one small fixed evaluation per baseline.  The
+# baselines use neither the q-network nor BLAS, so these bytes move only when
+# demand, fleet, engine or baseline behaviour changes; such a change re-pins
+# them deliberately and says so.
+BASELINE_DIGESTS = {
+    "fifo": "2159cb9ed27f2f084375c754f7a98d0bed4e4d492b6c0e2c9bb7fac10b6636e2",
+    "lifo": "45193ea0e4c5b036652f6df1ecde620b25023f6aacae5e85243df5e151cbd339",
+    "nn": "0953b301386bf5260d310e0e8836be374fc54a6b7ff4fbc347d0bdb5162cd019",
+    "random": "7d35170b44218d141e24f620d636c67858f2cbac90da7506d50a5260334dbc2d",
+}
+
+
+@pytest.mark.parametrize("policy", sorted(BASELINE_DIGESTS))
+def test_baseline_per_day_csv_digest_is_pinned(policy, tmp_path):
+    cfg = parse_lines(
+        ["seed=11", "daily_calls=300", "eval_days=2", "eval_seeds=2", "scenarios=easy,hard"]
+    )
+    run_evaluation(cfg, policy_names=[policy], out_dir=str(tmp_path))
+    data = (tmp_path / "per_day.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == BASELINE_DIGESTS[policy]

@@ -90,10 +90,23 @@ def test_nn_tie_break_lowest_id():
     assert nn_choose(snap, (0.0, 0.0)) == 3  # all distance 1
 
 
+def dyadic(lo, hi):
+    """Multiples of 1/64 in [lo, hi]: their sums and differences are exact."""
+    return st.integers(lo * 64, hi * 64).map(lambda k: k / 64)
+
+
 @settings(max_examples=100)
-@given(loc_snapshots, st.floats(0, 10), st.floats(0, 10),
-       st.floats(-5, 5), st.floats(-5, 5))
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 50), dyadic(0, 10), dyadic(0, 10)),
+        min_size=1,
+        max_size=30,
+        unique_by=lambda e: e[0],
+    ),
+    dyadic(0, 10), dyadic(0, 10), dyadic(-5, 5), dyadic(-5, 5),
+)
 def test_nn_invariant_under_translation(snapshot, ax, ay, dx, dy):
+    # dyadic coordinates so the shift is exact and preserves distance ties
     shifted = [(i, x + dx, y + dy) for i, x, y in snapshot]
     assert nn_choose(snapshot, (ax, ay)) == nn_choose(shifted, (ax + dx, ay + dy))
 
