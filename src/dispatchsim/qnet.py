@@ -48,7 +48,7 @@ class QNetwork:
         if len(dims) < 2 or dims[-1] != 1:
             raise ValueError(f"dims must end in a scalar output, got {dims}")
         if not 0.0 <= leaky_slope <= 1.0:
-            # forward computes the activation as max(z, slope * z)
+            # the activation is computed as max(z, slope * z)
             raise ValueError(f"leaky_slope must be in [0, 1], got {leaky_slope}")
         self.dims = tuple(int(d) for d in dims)
         self.dtype = np.dtype(dtype)
@@ -79,38 +79,26 @@ class QNetwork:
     # -- forward / backward ---------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Q-values for a batch (n, in_dim) -> (n,).  A single vector is fine too.
+        """Q-values for a batch (n, in_dim) -> (n,).  A single vector is fine too."""
+        q, _ = self._forward_cached(np.atleast_2d(np.asarray(x, dtype=self.dtype)))
+        return q
 
-        Builds no backward cache and checks finiteness once, on the output:
-        a non-finite value in any layer propagates to it.  Only then is the
-        cached pass re-run, so the error names the first bad layer.
-        """
-        x = np.atleast_2d(np.asarray(x, dtype=self.dtype))
+    def _forward_cached(self, x: np.ndarray) -> Tuple[np.ndarray, list]:
+        cache = []
         h = x
         last = len(self.weights) - 1
         slope = self.dtype.type(self.leaky_slope)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = h @ w
             z += b
-            h = np.maximum(z, slope * z) if i < last else z
-        if not np.isfinite(h).all():
-            self._forward_cached(x)
-        return h[:, 0]
-
-    def _forward_cached(self, x: np.ndarray) -> Tuple[np.ndarray, list]:
-        cache = []
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
-            if not np.all(np.isfinite(z)):
-                raise FloatingPointError(f"non-finite activation at layer {i}")
-            if i < last:
-                a = np.where(z > 0, z, self.leaky_slope * z)
-            else:
-                a = z
             cache.append((h, z))
-            h = a
+            h = np.maximum(z, slope * z) if i < last else z
+        # a non-finite value in any layer propagates to the output, so one
+        # check there suffices; the cache then names the first bad layer
+        if not np.isfinite(h).all():
+            for i, (_, z) in enumerate(cache):
+                if not np.isfinite(z).all():
+                    raise FloatingPointError(f"non-finite activation at layer {i}")
         return h[:, 0], cache
 
     def loss_and_gradients(

@@ -85,27 +85,6 @@ def test_nonfinite_activation_raises():
         net.forward(np.array([[np.inf, 0.0]]))
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_forward_equals_cached_pass_bit_for_bit(dtype):
-    rng = np.random.default_rng(17)
-    for _ in range(40):
-        hidden = rng.integers(1, 40, size=int(rng.integers(0, 3)))
-        dims = (int(rng.integers(1, 20)), *hidden.tolist(), 1)
-        net = QNetwork(dims, rng=rng, dtype=dtype)
-        for b in net.biases:
-            b[...] = rng.standard_normal(b.shape)
-        n_rows = int(rng.integers(2, 60))
-        for x in (
-            rng.standard_normal(dims[0]),
-            rng.standard_normal((1, dims[0])),
-            rng.standard_normal((n_rows, dims[0])),
-        ):
-            lean = net.forward(x)
-            cached, _ = net._forward_cached(np.atleast_2d(x.astype(dtype)))
-            assert lean.dtype == cached.dtype == dtype
-            assert lean.tobytes() == cached.tobytes()
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_deeper_layer_is_named():
     # layer 0 stays finite at 1e20; layer 1 multiplies by 1e20 again and
