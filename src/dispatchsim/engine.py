@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import events as ev
 from .demand import StochasticConfig, sample_rejection_prob
-from .entities import Call, CallStatus, Vehicle
+from .entities import Call, CallStatus, FleetState, Vehicle
 from .events import EventQueue
 from .geometry import BoundingBox, Coordinate, manhattan_distance, travel_time
 
@@ -73,6 +73,7 @@ class Environment:
         trace: Optional[list] = None,
     ):
         self.fleet = fleet
+        self.fleet_state = FleetState.adopt(fleet)
         self.speed = speed
         self.driver_rng = driver_rng
         self.week_origin_offset = week_origin_offset
@@ -87,14 +88,6 @@ class Environment:
         self.recent_arrivals: deque = deque()
         self.announced: set = set()  # call ids whose arrival epoch has run
         self.metrics = DayMetrics()
-
-        n = len(fleet)
-        self.veh_x = np.array([v.location.x for v in fleet], dtype=np.float64)
-        self.veh_y = np.array([v.location.y for v in fleet], dtype=np.float64)
-        self.veh_idle = np.ones(n, dtype=np.uint8)
-        for v in fleet:
-            if v.busy:
-                self.veh_idle[v.id] = 0
 
         self.new_call_policy = None
         self.free_vehicle_policy = None
@@ -114,14 +107,11 @@ class Environment:
 
     # -- assignment protocol ------------------------------------------------
 
-    def eta_to(self, vehicle: Vehicle, point: Coordinate) -> float:
-        return travel_time(manhattan_distance(vehicle.location, point), self.speed)
-
     def propose_assignment(
         self, vehicle: Vehicle, call: Call
     ) -> Tuple[ProposalOutcome, float, float]:
         """Run the dual-acceptance protocol; returns (outcome, eta, drive)."""
-        eta = self.eta_to(vehicle, call.origin)
+        eta = travel_time(manhattan_distance(vehicle.location, call.origin), self.speed)
         drive = travel_time(
             manhattan_distance(call.origin, call.destination), self.speed
         )
@@ -137,8 +127,6 @@ class Environment:
         vehicle.busy = True
         vehicle.move_destination = call.destination
         vehicle.free_at = self.clock + eta + drive
-        vehicle.reposition_hold_until = None
-        self.veh_idle[vehicle.id] = 0
         self.queue.push(
             self.clock + eta, ev.ARRIVAL_AT_ORIGIN, vehicle.id, call.id, self.clock
         )
@@ -146,7 +134,6 @@ class Environment:
 
     def _after_rejection(self, vehicle: Vehicle, call: Call) -> None:
         self.pool[call.id] = call
-        vehicle.reposition_hold_until = self.clock + REPOSITION_HOLD_MIN
         self.queue.push(
             self.clock + REPOSITION_HOLD_MIN,
             ev.REPOSITION_TIMEOUT,
@@ -205,8 +192,6 @@ class Environment:
         self.metrics.calls_served += 1
         self.metrics.sum_delay += self.clock - call.created_at
         vehicle.location = call.origin
-        self.veh_x[vehicle.id] = call.origin.x
-        self.veh_y[vehicle.id] = call.origin.y
         drive = travel_time(
             manhattan_distance(call.origin, call.destination), self.speed
         )
@@ -219,9 +204,6 @@ class Environment:
         call.completion_time = self.clock
         self.metrics.sum_service_time += self.clock - call.pickup_time
         vehicle.set_idle(call.destination)
-        self.veh_x[vehicle.id] = call.destination.x
-        self.veh_y[vehicle.id] = call.destination.y
-        self.veh_idle[vehicle.id] = 1
         self.queue.push(self.clock, ev.FREE_VEHICLE, vehicle.id, -1, self.clock)
 
     def handle_reposition_timeout(self, vehicle: Vehicle) -> None:
@@ -283,10 +265,6 @@ class Environment:
                 f"pool desync at t={self.clock}: pool={sorted(self.pool)} "
                 f"waiting={sorted(waiting)}"
             )
-        for v in self.fleet:
-            idle_flag = bool(self.veh_idle[v.id])
-            if idle_flag == v.busy:
-                raise AssertionError(f"idle mask desync for vehicle {v.id}")
 
 
 def build_fleet(
@@ -298,19 +276,11 @@ def build_fleet(
 ) -> List[Vehicle]:
     """Fleet with uniform initial placement and beta-sampled rejection probs."""
     fleet = []
-    for i in range(n):
-        loc = Coordinate(
-            float(placement_rng.uniform(box.x_min, box.x_max)),
-            float(placement_rng.uniform(box.y_min, box.y_max)),
-        )
-        fleet.append(
-            Vehicle(
-                id=i,
-                location=loc,
-                move_destination=loc,
-                reject_prob=sample_rejection_prob(stochastic, rejection_rng),
-            )
-        )
+    for i in range(n):  # draws per vehicle: x, y, then the rejection probability
+        x = placement_rng.uniform(box.x_min, box.x_max)
+        y = placement_rng.uniform(box.y_min, box.y_max)
+        reject = sample_rejection_prob(stochastic, rejection_rng)
+        fleet.append(Vehicle(i, Coordinate(x, y), Coordinate(x, y), reject_prob=reject))
     return fleet
 
 

@@ -28,75 +28,40 @@ def context_features(env) -> Tuple[float, float, float]:
     )
 
 
+def _fill(store, rows: slice, calls, clock: float, context) -> np.ndarray:
+    """Candidate matrix pairing vehicles `rows` of `store` with `calls`.
+
+    One side holds a single entry and is broadcast along the other.
+    Values are computed in float64 and rounded to float32 once.
+    """
+    busy = np.logical_not(store.idle[rows])
+    # origin, destination, the waiting time so far in minutes, then the context
+    tails = [(*c.origin, *c.destination, clock - c.created_at, *context) for c in calls]
+    n = len(tails) if len(busy) == 1 else len(busy)
+    out = np.empty((n, FEATURE_DIM), dtype=np.float32)
+    out[:, 0:6] = store.floats[:, rows].T  # column 4 is free_at until overwritten
+    out[:, 4] = np.where(busy, np.maximum(store.free_at[rows] - clock, 0.0), 0.0)
+    out[:, 6] = busy
+    if tails:
+        out[:, 7:] = tails
+    return out
+
+
 def featurize(vehicle: Vehicle, call: Call, clock: float, context) -> np.ndarray:
     """One candidate pair to its 15-feature vector."""
-    out = np.empty(FEATURE_DIM, dtype=np.float32)
-    out[0] = vehicle.location.x
-    out[1] = vehicle.location.y
-    out[2] = vehicle.move_destination.x
-    out[3] = vehicle.move_destination.y
-    out[4] = vehicle.time_to_free(clock)
-    out[5] = vehicle.reject_prob
-    out[6] = 1.0 if vehicle.busy else 0.0
-    out[7] = call.origin.x
-    out[8] = call.origin.y
-    out[9] = call.destination.x
-    out[10] = call.destination.y
-    out[11] = clock - call.created_at  # waiting time so far, minutes
-    out[12:15] = context
-    return out
+    rows = slice(vehicle.row, vehicle.row + 1)
+    return _fill(vehicle.store, rows, [call], clock, context)[0]
 
 
 def new_call_candidates(env, call: Call) -> Tuple[np.ndarray, List[int]]:
     """Feature matrix over the whole fleet for a new-call epoch."""
-    n = len(env.fleet)
-    ctx = context_features(env)
-    mat = np.empty((n, FEATURE_DIM), dtype=np.float32)
-    clock = env.clock
-    waited = clock - call.created_at
-    call_block = (
-        call.origin.x,
-        call.origin.y,
-        call.destination.x,
-        call.destination.y,
-        waited,
-    )
-    for i, v in enumerate(env.fleet):
-        row = mat[i]
-        row[0] = v.location.x
-        row[1] = v.location.y
-        row[2] = v.move_destination.x
-        row[3] = v.move_destination.y
-        row[4] = v.time_to_free(clock)
-        row[5] = v.reject_prob
-        row[6] = 1.0 if v.busy else 0.0
-        row[7:12] = call_block
-        row[12:15] = ctx
-    return mat, [v.id for v in env.fleet]
+    mat = _fill(env.fleet_state, slice(None), [call], env.clock, context_features(env))
+    return mat, list(range(len(env.fleet)))
 
 
 def free_vehicle_candidates(env, vehicle: Vehicle) -> Tuple[np.ndarray, List[int]]:
     """Feature matrix over the waiting pool for a free-vehicle epoch."""
     calls = list(env.pool.values())
-    ctx = context_features(env)
-    clock = env.clock
-    mat = np.empty((len(calls), FEATURE_DIM), dtype=np.float32)
-    veh_block = (
-        vehicle.location.x,
-        vehicle.location.y,
-        vehicle.move_destination.x,
-        vehicle.move_destination.y,
-        vehicle.time_to_free(clock),
-        vehicle.reject_prob,
-        1.0 if vehicle.busy else 0.0,
-    )
-    for i, c in enumerate(calls):
-        row = mat[i]
-        row[0:7] = veh_block
-        row[7] = c.origin.x
-        row[8] = c.origin.y
-        row[9] = c.destination.x
-        row[10] = c.destination.y
-        row[11] = clock - c.created_at
-        row[12:15] = ctx
+    rows = slice(vehicle.row, vehicle.row + 1)
+    mat = _fill(vehicle.store, rows, calls, env.clock, context_features(env))
     return mat, [c.id for c in calls]

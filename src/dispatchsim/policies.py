@@ -12,7 +12,7 @@ runnable in both epochs.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,22 +86,9 @@ class DispatchPolicy:
 
 
 def _nearest_idle_vehicle(env, call: Call) -> Optional[int]:
-    idx = nearest_index_masked(
-        env.veh_x, env.veh_y, env.veh_idle, call.origin.x, call.origin.y
-    )
+    state = env.fleet_state
+    idx = nearest_index_masked(state.x, state.y, state.idle, call.origin.x, call.origin.y)
     return None if idx < 0 else idx
-
-
-def _pool_arrays(env):
-    n = len(env.pool)
-    xs = np.empty(n, dtype=np.float64)
-    ys = np.empty(n, dtype=np.float64)
-    ids = []
-    for i, c in enumerate(env.pool.values()):
-        xs[i] = c.origin.x
-        ys[i] = c.origin.y
-        ids.append(c.id)
-    return xs, ys, ids
 
 
 class FifoPolicy(DispatchPolicy):
@@ -134,9 +121,10 @@ class NearestPolicy(DispatchPolicy):
     def choose_call(self, env, vehicle):
         if not env.pool:
             return None
-        xs, ys, ids = _pool_arrays(env)
-        idx = nearest_index(xs, ys, vehicle.location.x, vehicle.location.y)
-        return ids[idx]
+        calls = list(env.pool.values())
+        xs = np.array([c.origin.x for c in calls])
+        ys = np.array([c.origin.y for c in calls])
+        return calls[nearest_index(xs, ys, *vehicle.location)].id
 
 
 class RandomPolicy(DispatchPolicy):

@@ -196,6 +196,8 @@ def load_checkpoint(path) -> Tuple[QNetwork, str]:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty checkpoint")
+    if len(lines) < 2:
+        raise ValueError(f"{path}: truncated checkpoint")
     head = lines[0].split()
     if len(head) != 3 or head[0] != CKPT_MAGIC or head[1] != CKPT_VERSION:
         raise ValueError(f"{path}: bad checkpoint header {lines[0]!r}")

@@ -54,9 +54,10 @@ def test_header_and_shape_validation(tmp_path):
     with pytest.raises(ValueError, match="header"):
         load_checkpoint(bad)
 
-    bad.write_text("\n".join(lines[:3]) + "\n")
-    with pytest.raises(ValueError, match="truncated"):
-        load_checkpoint(bad)
+    for kept in (1, 3):  # header only; header, dims and one layer's weights
+        bad.write_text("\n".join(lines[:kept]) + "\n")
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(bad)
 
     mutated = list(lines)
     mutated[2] = " ".join(mutated[2].split()[:-1])  # drop one weight

@@ -99,3 +99,16 @@ def test_missing_checkpoints_exit_2(cfg_file, tmp_path, capsys):
     rc = main(["evaluate", "--config", str(cfg_file), "--out-dir", str(tmp_path / "x")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_truncated_checkpoint_exits_2(cfg_file, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_file), "--out-dir", str(out_dir)]) == 0
+    ckpt = out_dir / "dqn_new_call.ckpt"
+    ckpt.write_text(ckpt.read_text().splitlines()[0] + "\n")  # header line only
+    capsys.readouterr()
+    cfg_file.write_text(cfg_file.read_text().replace("policies=fifo,nn", "policies=dqn"))
+    rc = main(["evaluate", "--config", str(cfg_file), "--out-dir", str(out_dir),
+               "--checkpoint-dir", str(out_dir)])
+    assert rc == 2
+    assert "truncated checkpoint" in capsys.readouterr().err

@@ -102,29 +102,41 @@ def test_ratio_is_fleet_over_window_count():
 
 
 def test_new_call_candidates_cover_fleet():
-    fleet = [vehicle(0, 0.1, 0.1), vehicle(1, 0.5, 0.5, busy=True, free_at=30.0)]
+    fleet = [
+        vehicle(0, 0.1, 0.1, free_at=40.0),  # idle: time to free reads 0
+        vehicle(1, 0.5, 0.5, busy=True, free_at=30.0),  # free 18 min after the clock
+        vehicle(2, 0.25, 0.75, busy=True, free_at=9.0, reject=0.5),  # overdue: clamped to 0
+    ]
+    fleet[1].move_destination = Coordinate(0.8, 0.9)
     env = _bare_env(fleet, clock=12.0)
-    c = call(t=10.0)
-    mat, ids = new_call_candidates(env, c)
-    assert mat.shape == (2, FEATURE_DIM)
-    assert ids == [0, 1]
-    ctx = context_features(env)
-    for i, v in enumerate(fleet):
-        np.testing.assert_array_equal(mat[i], featurize(v, c, env.clock, ctx))
+    mat, ids = new_call_candidates(env, call(t=10.0, ox=0.6, oy=0.7, dx=0.1, dy=0.9))
+    assert ids == [0, 1, 2]
+    tail = [0.6, 0.7, 0.1, 0.9, 2.0, *context_features(env)]
+    expected = [
+        [0.1, 0.1, 0.1, 0.1, 0.0, 0.15, 0.0] + tail,
+        [0.5, 0.5, 0.8, 0.9, 18.0, 0.15, 1.0] + tail,
+        [0.25, 0.75, 0.25, 0.75, 0.0, 0.5, 1.0] + tail,
+    ]
+    np.testing.assert_array_equal(mat, np.array(expected, dtype=np.float32))
 
 
 def test_free_vehicle_candidates_cover_pool():
-    env = _bare_env([vehicle(0)], clock=20.0)
-    pool = [call(3, 5.0), call(7, 12.0)]
-    for c in pool:
+    fleet = [
+        vehicle(0, 0.2, 0.3, busy=True, free_at=15.0),  # overdue: clamped to 0
+        vehicle(1, 0.4, 0.6, busy=True, free_at=26.0, reject=0.25),  # free in 6 min
+    ]
+    env = _bare_env(fleet, clock=20.0)
+    for c in (call(3, 5.0, 0.6, 0.7, 0.1, 0.9), call(7, 12.0, 0.3, 0.2, 0.5, 0.4)):
         env.calls[c.id] = c
         env.pool[c.id] = c
-    mat, ids = free_vehicle_candidates(env, env.fleet[0])
-    assert mat.shape == (2, FEATURE_DIM)
-    assert ids == [3, 7]
-    ctx = context_features(env)
-    for i, c in enumerate(pool):
-        np.testing.assert_array_equal(mat[i], featurize(env.fleet[0], c, env.clock, ctx))
+    ctx = list(context_features(env))
+    calls = [[0.6, 0.7, 0.1, 0.9, 15.0], [0.3, 0.2, 0.5, 0.4, 8.0]]
+    heads = [[0.2, 0.3, 0.2, 0.3, 0.0, 0.15, 1.0], [0.4, 0.6, 0.4, 0.6, 6.0, 0.25, 1.0]]
+    for v, head in zip(env.fleet, heads):
+        mat, ids = free_vehicle_candidates(env, v)
+        assert ids == [3, 7]
+        expected = [head + c + ctx for c in calls]
+        np.testing.assert_array_equal(mat, np.array(expected, dtype=np.float32))
 
 
 def test_empty_pool_gives_empty_matrix():

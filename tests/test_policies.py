@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dispatchsim.engine import Environment, run_day
 from dispatchsim.entities import Call, CallStatus, Vehicle
+from dispatchsim.features import new_call_candidates
 from dispatchsim.geometry import Coordinate
 from dispatchsim.policies import (
     FifoPolicy,
@@ -185,6 +186,39 @@ def test_choose_vehicle_none_when_all_busy():
     fleet = [vehicle(0, 0.0, 0.0, busy=True), vehicle(1, 0.3, 0.0, busy=True)]
     env = _env(fleet, [])
     assert NearestPolicy().choose_vehicle(env, call(0, 0.0, 0.0, 0.0)) is None
+
+
+def test_fleet_state_is_the_vehicles_own_state():
+    # mutated before adoption: vehicle 0 turns busy, vehicle 1 moves next to the call
+    fleet = [vehicle(0, 0.0, 0.0), vehicle(1, 0.9, 0.9), vehicle(2, 0.5, 0.0)]
+    fleet[0].busy = True
+    fleet[1].location = Coordinate(0.25, 0.0)
+    env = _env(fleet, [])
+    assert env.fleet is fleet
+    c = call(0, 0.0, 0.0, 0.0)
+    assert NearestPolicy().choose_vehicle(env, c) == 1
+    mat, _ = new_call_candidates(env, c)
+    np.testing.assert_array_equal(mat[:, 6], [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(mat[:2, 0], np.float32([0.0, 0.25]))
+
+    # mutated through the environment's fleet after adoption
+    env.fleet[1].busy = True
+    env.fleet[0].set_idle(Coordinate(0.75, 0.0))
+    env.fleet[2].location = Coordinate(0.5, 0.125)
+    assert NearestPolicy().choose_vehicle(env, c) == 2
+    env.fleet[2].busy = True
+    assert NearestPolicy().choose_vehicle(env, c) == 0
+    mat, _ = new_call_candidates(env, c)
+    np.testing.assert_array_equal(mat[:, 6], [0.0, 1.0, 1.0])
+    np.testing.assert_array_equal(mat[:, 0], np.float32([0.75, 0.25, 0.5]))
+    np.testing.assert_array_equal(mat[:, 1], np.float32([0.0, 0.0, 0.125]))
+    assert fleet[0].location == Coordinate(0.75, 0.0) and not fleet[0].busy
+
+
+def test_adoption_requires_ids_in_fleet_order():
+    for ids in ([1], [0, 2], [1, 0], [0, 0]):
+        with pytest.raises(ValueError, match="ids must be 0..n-1"):
+            _env([vehicle(i, 0.0, 0.0) for i in ids], [])
 
 
 def test_policy_choose_call_orders():
