@@ -7,6 +7,7 @@ import os
 import sys
 
 from .config import SCENARIO_RATIOS, ConfigError, Scenario, parse_config, parse_lines
+from .demand import DemandError
 from .harness import (
     demand_source_from_config,
     emit_report,
@@ -68,7 +69,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, DemandError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import events as ev
 from .demand import StochasticConfig, sample_rejection_prob
-from .entities import Call, CallStatus, FleetState, Vehicle
+from .entities import Call, CallPool, CallStatus, FleetState, Vehicle
 from .events import EventQueue
 from .geometry import BoundingBox, Coordinate, manhattan_distance, travel_time
 
@@ -84,13 +84,22 @@ class Environment:
         self.clock = 0.0
         self.queue = EventQueue()
         self.calls: dict[int, Call] = {}
-        self.pool: dict[int, Call] = {}  # waiting calls, insertion == id order
+        self.pool = CallPool()  # waiting calls, in id order
         self.recent_arrivals: deque = deque()
         self.announced: set = set()  # call ids whose arrival epoch has run
         self.metrics = DayMetrics()
 
         self.new_call_policy = None
         self.free_vehicle_policy = None
+
+    @property
+    def pool(self) -> CallPool:
+        """The waiting calls; an assigned id -> `Call` mapping becomes a `CallPool`."""
+        return self._pool
+
+    @pool.setter
+    def pool(self, calls) -> None:
+        self._pool = calls if isinstance(calls, CallPool) else CallPool(calls)
 
     # -- context -----------------------------------------------------------
 

@@ -1,10 +1,12 @@
-"""Domain entities: ride requests, fleet state and vehicles, trip records."""
+"""Domain entities: ride requests and their waiting pool, fleet state and vehicles, trip records."""
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +32,7 @@ ALLOWED_TRANSITIONS = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class Call:
     """A ride request with its sampled waiting tolerance and lifecycle state."""
 
@@ -60,6 +62,99 @@ class Call:
             )
         self.status = new
         self.status_history.append(new)
+
+
+_MISSING = object()
+
+
+class CallPool(MutableMapping):
+    """The waiting calls: an id -> `Call` mapping beside id-ordered columns.
+
+    `ids` holds the pooled call ids in increasing order, which is also the
+    order the mapping iterates in.  `columns` is a (5, len) float64 view
+    whose rows are origin x, origin y, destination x, destination y and
+    `created_at`; column i describes call `ids[i]`.  A call's values are
+    read when it is set.  Calls normally arrive in id order, so an insert
+    is an append; a removal shifts the entries after it down by one.
+    """
+
+    def __init__(self, calls=()):
+        self._calls: dict = {}
+        self._ids: List[int] = []
+        self._block = np.empty((5, 64))
+        for cid, call in dict(calls).items():
+            self[cid] = call
+
+    @property
+    def ids(self) -> List[int]:
+        return self._ids
+
+    @property
+    def columns(self) -> np.ndarray:
+        return self._block[:, : len(self._ids)]
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __contains__(self, cid) -> bool:
+        return cid in self._calls
+
+    def __getitem__(self, cid) -> Call:
+        return self._calls[cid]
+
+    def __iter__(self):
+        return iter(self._calls)
+
+    def keys(self):
+        return self._calls.keys()
+
+    def values(self):
+        return self._calls.values()
+
+    def items(self):
+        return self._calls.items()
+
+    def __setitem__(self, cid, call: Call) -> None:
+        calls, ids = self._calls, self._ids
+        n = len(ids)
+        if cid in calls:
+            slot = bisect_left(ids, cid)
+        else:
+            if n == self._block.shape[1]:
+                self._grow()
+            if n == 0 or ids[-1] < cid:
+                slot = n
+                ids.append(cid)
+            else:  # out of id order: open a slot, keep the mapping in id order too
+                slot = bisect_left(ids, cid)
+                ids.insert(slot, cid)
+                self._block[:, slot + 1 : n + 1] = self._block[:, slot:n]
+                calls[cid] = call
+                calls = self._calls = {k: calls[k] for k in ids}
+        calls[cid] = call
+        self._block[:, slot] = (*call.origin, *call.destination, call.created_at)
+
+    def pop(self, cid, default=_MISSING):
+        call = self._calls.pop(cid, _MISSING)
+        if call is _MISSING:
+            if default is _MISSING:
+                raise KeyError(cid)
+            return default
+        ids = self._ids
+        slot = bisect_left(ids, cid)
+        del ids[slot]
+        n = len(ids)
+        if slot < n:
+            self._block[:, slot:n] = self._block[:, slot + 1 : n + 1]
+        return call
+
+    def __delitem__(self, cid) -> None:
+        self.pop(cid)
+
+    def _grow(self) -> None:
+        block = np.empty((5, 2 * self._block.shape[1]))
+        block[:, : len(self._ids)] = self.columns
+        self._block = block
 
 
 class FleetState:

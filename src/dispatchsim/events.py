@@ -30,14 +30,22 @@ class CausalityError(Exception):
 
 
 class EventQueue:
-    """Min-heap of events ordered by (time, insertion sequence)."""
+    """Events ordered by (time, insertion sequence).
+
+    Events pushed before the first `pop` (a day's new calls and
+    cancellation deadlines) are kept in a run that is sorted once, in
+    descending order, at that pop and consumed from its end; later pushes
+    go to a min-heap.  `pop` takes the smaller head of the two.
+    """
 
     def __init__(self):
+        self._run: List[Event] = []
         self._heap: List[Event] = []
+        self._sorted = False
         self._seq = 0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._run) + len(self._heap)
 
     def push(self, time: float, kind: int, id_a: int = -1, id_b: int = -1,
              clock: float = 0.0) -> None:
@@ -46,9 +54,21 @@ class EventQueue:
                 f"event {KIND_NAMES[kind]} at t={time} scheduled before clock={clock}"
             )
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, kind, id_a, id_b))
+        event = (time, self._seq, kind, id_a, id_b)
+        if self._sorted:
+            heapq.heappush(self._heap, event)
+        else:
+            self._run.append(event)
 
     def pop(self) -> Optional[Event]:
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)
+        run, heap = self._run, self._heap
+        if not self._sorted:
+            run.sort(reverse=True)
+            self._sorted = True
+        if run:
+            if heap and heap[0] < run[-1]:
+                return heapq.heappop(heap)
+            return run.pop()
+        if heap:
+            return heapq.heappop(heap)
+        return None

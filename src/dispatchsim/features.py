@@ -28,40 +28,47 @@ def context_features(env) -> Tuple[float, float, float]:
     )
 
 
-def _fill(store, rows: slice, calls, clock: float, context) -> np.ndarray:
-    """Candidate matrix pairing vehicles `rows` of `store` with `calls`.
+def _vehicle_block(store, rows: slice, n: int, clock: float) -> np.ndarray:
+    """An (n, 15) float32 matrix whose columns 0-6 describe vehicles `rows` of `store`.
 
-    One side holds a single entry and is broadcast along the other.
-    Values are computed in float64 and rounded to float32 once.
+    A single vehicle is broadcast along all n rows.  The caller writes the
+    call features and the context (columns 7-14).  Values are computed in
+    float64 and rounded to float32 once.
     """
     busy = np.logical_not(store.idle[rows])
-    # origin, destination, the waiting time so far in minutes, then the context
-    tails = [(*c.origin, *c.destination, clock - c.created_at, *context) for c in calls]
-    n = len(tails) if len(busy) == 1 else len(busy)
     out = np.empty((n, FEATURE_DIM), dtype=np.float32)
     out[:, 0:6] = store.floats[:, rows].T  # column 4 is free_at until overwritten
     out[:, 4] = np.where(busy, np.maximum(store.free_at[rows] - clock, 0.0), 0.0)
     out[:, 6] = busy
-    if tails:
-        out[:, 7:] = tails
     return out
+
+
+def _call_tail(call: Call, clock: float, context) -> tuple:
+    """Columns 7-14 for one call: origin, destination, the waiting time so far in minutes, the context."""
+    return (*call.origin, *call.destination, clock - call.created_at, *context)
 
 
 def featurize(vehicle: Vehicle, call: Call, clock: float, context) -> np.ndarray:
     """One candidate pair to its 15-feature vector."""
-    rows = slice(vehicle.row, vehicle.row + 1)
-    return _fill(vehicle.store, rows, [call], clock, context)[0]
+    out = _vehicle_block(vehicle.store, slice(vehicle.row, vehicle.row + 1), 1, clock)
+    out[:, 7:] = _call_tail(call, clock, context)
+    return out[0]
 
 
 def new_call_candidates(env, call: Call) -> Tuple[np.ndarray, List[int]]:
     """Feature matrix over the whole fleet for a new-call epoch."""
-    mat = _fill(env.fleet_state, slice(None), [call], env.clock, context_features(env))
-    return mat, list(range(len(env.fleet)))
+    n = len(env.fleet)
+    out = _vehicle_block(env.fleet_state, slice(None), n, env.clock)
+    out[:, 7:] = _call_tail(call, env.clock, context_features(env))
+    return out, list(range(n))
 
 
 def free_vehicle_candidates(env, vehicle: Vehicle) -> Tuple[np.ndarray, List[int]]:
     """Feature matrix over the waiting pool for a free-vehicle epoch."""
-    calls = list(env.pool.values())
+    calls = env.pool.columns  # origin x/y, destination x/y, created_at
     rows = slice(vehicle.row, vehicle.row + 1)
-    mat = _fill(vehicle.store, rows, calls, env.clock, context_features(env))
-    return mat, [c.id for c in calls]
+    out = _vehicle_block(vehicle.store, rows, calls.shape[1], env.clock)
+    out[:, 7:11] = calls[:4].T
+    out[:, 11] = env.clock - calls[4]  # the waiting time so far in minutes
+    out[:, 12:] = context_features(env)
+    return out, list(env.pool)

@@ -4,7 +4,8 @@ These are the fallback used when the compiled extension is unavailable.
 Semantics (including first-index tie-breaking) must match the compiled
 versions exactly; `tests/test_kernels.py` enforces this.  Inputs are
 numpy arrays, so the scans vectorize; np.argmin picks the first minimal
-index, matching the compiled tie-break.
+index, matching the compiled tie-break.  The arrays are used as given,
+without copies or casts.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ def nearest_index(xs: np.ndarray, ys: np.ndarray, ax: float, ay: float) -> int:
 
     Ties resolve to the first (lowest) index.  Returns -1 on empty input.
     """
-    n = len(xs)
-    if n == 0:
+    if len(xs) == 0:
         return -1
-    d = np.abs(np.asarray(xs) - ax) + np.abs(np.asarray(ys) - ay)
-    return int(np.argmin(d))
+    d = np.abs(xs - ax)
+    d += np.abs(ys - ay)
+    return int(d.argmin())
 
 
 def nearest_index_masked(
@@ -31,13 +32,11 @@ def nearest_index_masked(
     ax: float,
     ay: float,
 ) -> int:
-    """Like nearest_index but only over candidates with a truthy mask entry."""
-    n = len(xs)
-    if n == 0:
+    """Like nearest_index but only over candidates with a nonzero mask entry."""
+    if len(xs) == 0:
         return -1
-    mask = np.asarray(eligible, dtype=bool)
-    if not mask.any():
-        return -1
-    d = np.abs(np.asarray(xs) - ax) + np.abs(np.asarray(ys) - ay)
-    d = np.where(mask, d, np.inf)
-    return int(np.argmin(d))
+    d = np.abs(xs - ax)
+    d += np.abs(ys - ay)
+    np.putmask(d, eligible == 0, np.inf)
+    i = int(d.argmin())
+    return i if eligible[i] else -1  # with none eligible, every entry is inf

@@ -119,12 +119,11 @@ class NearestPolicy(DispatchPolicy):
         return _nearest_idle_vehicle(env, call)
 
     def choose_call(self, env, vehicle):
-        if not env.pool:
+        pool = env.pool
+        if not pool:
             return None
-        calls = list(env.pool.values())
-        xs = np.array([c.origin.x for c in calls])
-        ys = np.array([c.origin.y for c in calls])
-        return calls[nearest_index(xs, ys, *vehicle.location)].id
+        xs, ys = pool.columns[:2]
+        return pool.ids[nearest_index(xs, ys, *vehicle.location)]
 
 
 class RandomPolicy(DispatchPolicy):

@@ -112,3 +112,37 @@ def test_truncated_checkpoint_exits_2(cfg_file, tmp_path, capsys):
                "--checkpoint-dir", str(out_dir)])
     assert rc == 2
     assert "truncated checkpoint" in capsys.readouterr().err
+
+
+def _records_config(cfg_file, records_path):
+    cfg_file.write_text(
+        cfg_file.read_text() + f"demand_mode=records\nrecords_path={records_path}\n"
+    )
+
+
+def test_records_csv_with_bad_header_exits_2(cfg_file, tmp_path, capsys):
+    trips = tmp_path / "trips.csv"
+    trips.write_text("minute,ox,oy,dx,dy\n0.0,0.1,0.1,0.2,0.2\n")
+    _records_config(cfg_file, trips)
+    rc = main(["simulate", "--config", str(cfg_file)])
+    assert rc == 2
+    assert "error: line 1: expected header" in capsys.readouterr().err
+
+
+def test_records_path_directory_exits_2(cfg_file, tmp_path, capsys):
+    _records_config(cfg_file, tmp_path)
+    rc = main(["simulate", "--config", str(cfg_file)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_config_directory_exits_2(tmp_path, capsys):
+    rc = main(["simulate", "--config", str(tmp_path)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_report_of_directory_exits_2(tmp_path, capsys):
+    rc = main(["report", str(tmp_path)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err

@@ -1,3 +1,7 @@
+import heapq
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -41,8 +45,6 @@ def test_pops_are_sorted(times):
 
 
 def test_large_random_push_pop_order():
-    import random
-
     r = random.Random(4)
     times = [r.uniform(0, 1440) for _ in range(10_000)]
     q = EventQueue()
@@ -52,3 +54,35 @@ def test_large_random_push_pop_order():
     while len(q):
         out.append(q.pop()[0])
     assert out == sorted(times)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_random_interleavings_match_a_heap(seed):
+    # Times lie on a grid of halves, so equal times meet both in the run
+    # sorted at the first pop and in the heap filled after it.
+    r = random.Random(seed)
+    q, ref, seq = EventQueue(), [], itertools.count(1)
+    clock = 0.0
+
+    def push():
+        time = clock + 0.5 * r.randrange(12)
+        kind, id_a, id_b = r.randrange(6), r.randrange(5), r.randrange(-1, 5)
+        q.push(time, kind, id_a, id_b, clock)
+        heapq.heappush(ref, (time, next(seq), kind, id_a, id_b))
+
+    for _ in range(r.randrange(40)):  # before the first pop
+        push()
+        assert len(q) == len(ref)
+    for _ in range(400):
+        if r.random() < 0.45:
+            push()
+        else:
+            got = q.pop()
+            assert got == (heapq.heappop(ref) if ref else None)
+            if got is not None:
+                clock = got[0]
+        assert len(q) == len(ref)
+    while ref:
+        assert q.pop() == heapq.heappop(ref)
+        assert len(q) == len(ref)
+    assert q.pop() is None and len(q) == 0

@@ -1,12 +1,14 @@
 """Choice-rule oracles and policy-level behavior for the heuristic baselines."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispatchsim.engine import Environment, run_day
-from dispatchsim.entities import Call, CallStatus, Vehicle
+from dispatchsim.entities import Call, CallPool, CallStatus, Vehicle
 from dispatchsim.features import new_call_candidates
 from dispatchsim.geometry import Coordinate
 from dispatchsim.policies import (
@@ -263,3 +265,57 @@ def test_nn_policy_serves_nearest_first_end_to_end():
             audit=True)
     assert all(c.status is CallStatus.COMPLETED for c in calls)
     assert calls[2].pickup_time < calls[1].pickup_time
+
+
+def _pool_columns(pool_dict):
+    return [[*c.origin, *c.destination, c.created_at] for _, c in sorted(pool_dict.items())]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_call_pool_matches_a_dict(seed):
+    r = random.Random(seed)
+    env = _env([vehicle(0, 0.5, 0.5)], [])
+    ref = {}
+    next_id = 0
+
+    def grid():  # multiples of 1/8, so nearest-call distances tie
+        return r.randrange(9) / 8
+
+    for _ in range(300):
+        op = r.random()
+        if op < 0.45:  # in order: above every id seen so far
+            cid = next_id = next_id + r.randrange(1, 3)
+        elif op < 0.65:  # out of order, or a re-set of a pooled id
+            cid = r.randrange(next_id + 1)
+        else:  # pop a present or an absent id
+            cid = r.randrange(next_id + 2)
+            assert env.pool.pop(cid, None) is ref.pop(cid, None)
+            cid = None
+        if cid is not None:
+            c = call(cid, r.randrange(100) / 4, grid(), grid(), grid(), grid())
+            env.pool[cid] = ref[cid] = c
+        pool = env.pool
+        assert len(pool) == len(ref) and bool(pool) == bool(ref)
+        assert list(pool) == pool.ids == sorted(ref)
+        assert [c.id for c in pool.values()] == sorted(ref)
+        assert all(cid in pool for cid in ref) and next_id + 1 not in pool
+        np.testing.assert_array_equal(pool.columns, np.reshape(_pool_columns(ref), (-1, 5)).T)
+        v = env.fleet[0]
+        v.location = Coordinate(grid(), grid())
+        snapshot = [(c.id, c.origin.x, c.origin.y) for c in ref.values()]
+        assert NearestPolicy().choose_call(env, v) == nn_choose(snapshot, tuple(v.location))
+    with pytest.raises(KeyError):
+        env.pool.pop(next_id + 1)
+
+
+def test_assigning_a_dict_to_the_pool_converts_it():
+    env = _env([vehicle(0, 0.0, 0.0)], [])
+    calls = {7: call(7, 5.0, 0.75, 0.0), 3: call(3, 5.0, 0.625, 0.0), 9: call(9, 2.0, 0.375, 0.0)}
+    env.pool = calls
+    assert isinstance(env.pool, CallPool)
+    assert list(env.pool) == env.pool.ids == [3, 7, 9]
+    np.testing.assert_array_equal(env.pool.columns, np.array(_pool_columns(calls)).T)
+    assert NearestPolicy().choose_call(env, env.fleet[0]) == 9
+    pool = CallPool()
+    env.pool = pool
+    assert env.pool is pool
