@@ -11,7 +11,9 @@ host drifts.  The record keeps every run (its metrics, correctness and the
 events or gradient steps of each round), a SHA-256 over each side's `src/`
 files, and per workload and end-to-end metric: each side's quartiles, the
 parent's interquartile range, the pairs the change won and whether the
-change's median stays within the bound that `BENCHMARK.json` fixes.
+change's median stays within the bound that `BENCHMARK.json` fixes.  With
+`--append`, `--out` holds a JSON list of such records and the new one is
+added to it, so one file can keep several comparisons.
 """
 
 from __future__ import annotations
@@ -102,6 +104,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", required=True, help="comma-separated workload seeds")
     ap.add_argument("--what", required=True, help="what the change does, for the record")
     ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--append", action="store_true",
+                    help="add the record to the JSON list in --out instead of replacing the file")
     args = ap.parse_args(argv)
 
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -128,6 +132,9 @@ def main(argv=None) -> int:
         "summary": summarize(runs, end_to_end),
         "runs": runs,
     }
+    if args.append:
+        records = json.loads(args.out.read_text()) if args.out.exists() else []
+        record = [*records, record]
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -1,41 +1,13 @@
-"""Build hooks for the optional compiled kernels.
+"""Build hook for the optional compiled nearest scan.
 
-The package is fully functional without the extension (a pure-Python
-fallback is selected at import time), so a missing compiler or Cython
-only downgrades performance, never the install.
+`optional=True` turns a failed compile into a warning: the package then
+runs on the numpy fallback in `kernels/_kernels_py.py`.
 """
 
-import os
+from setuptools import Extension, setup
 
-from setuptools import setup
-from setuptools.command.build_ext import build_ext
-
-
-def _extensions():
-    if os.environ.get("DISPATCHSIM_NO_EXT") == "1":
-        return []
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        return []
-    return cythonize(
-        ["src/dispatchsim/kernels/_speedups.pyx"],
-        compiler_directives={"language_level": "3"},
-    )
-
-
-class OptionalBuildExt(build_ext):
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:  # compiler missing: fall back to pure Python
-            print(f"warning: skipping compiled kernels ({exc})")
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            print(f"warning: skipping {ext.name} ({exc})")
-
-
-setup(ext_modules=_extensions(), cmdclass={"build_ext": OptionalBuildExt})
+setup(
+    ext_modules=[
+        Extension("dispatchsim.kernels._scan", ["src/dispatchsim/kernels/_scan.c"], optional=True)
+    ]
+)

@@ -20,6 +20,10 @@ class CallStatus(enum.Enum):
     COMPLETED = "completed"
     CANCELED = "canceled"
 
+    # Enum.__hash__ is Python code; members are singletons, so identity
+    # hashing is equivalent and keeps set_status free of Python-level calls.
+    __hash__ = object.__hash__
+
 
 # The only admissible status edges.  Trajectories are audited against this
 # graph in debug runs and in tests.

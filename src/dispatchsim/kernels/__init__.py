@@ -1,28 +1,14 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
-
-Set DISPATCHSIM_PURE=1 to force the pure-Python kernels (used by the
-benchmark and by tests that compare the two implementations).
-"""
+"""Kernel selection: the compiled scan when it was built, numpy otherwise."""
 
 from __future__ import annotations
 
-import os
+try:
+    from ._scan import nearest_index, nearest_index_masked
 
-from . import _kernels_py
+    IMPLEMENTATION = "c"
+except ImportError:  # extension not built
+    from ._kernels_py import nearest_index, nearest_index_masked
 
-if os.environ.get("DISPATCHSIM_PURE") == "1":
-    _impl = _kernels_py
     IMPLEMENTATION = "python"
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[no-redef]
-
-        IMPLEMENTATION = "cython"
-    except ImportError:  # extension not built on this platform
-        _impl = _kernels_py
-        IMPLEMENTATION = "python"
-
-nearest_index = _impl.nearest_index
-nearest_index_masked = _impl.nearest_index_masked
 
 __all__ = ["nearest_index", "nearest_index_masked", "IMPLEMENTATION"]

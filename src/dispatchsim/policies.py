@@ -2,8 +2,9 @@
 
 The choice rules (`fifo_choose_call`, `lifo_choose_call`, `nn_choose`,
 `random_choose`) are pure functions over lightweight snapshots so they can
-be audited against brute-force oracles; the policy classes adapt them to
-the engine's epoch interface.
+be audited against brute-force oracles.  The FIFO, LIFO and nearest
+policy classes read the fleet and pool columns instead, and the tests hold
+them to these rules.
 
 FIFO and LIFO are call-selection rules; at new-call epochs (which pick a
 vehicle) they fall back to the nearest idle vehicle, so all baselines are
@@ -98,8 +99,10 @@ class FifoPolicy(DispatchPolicy):
         return _nearest_idle_vehicle(env, call)
 
     def choose_call(self, env, vehicle):
-        # pool iterates in creation order, so the first entry is the oldest
-        return fifo_choose_call([(c.id, c.created_at) for c in env.pool.values()])
+        # the columns are id-ordered and argmin takes the first minimum,
+        # so ties go to the lowest id, as in fifo_choose_call
+        pool = env.pool
+        return pool.ids[int(pool.columns[4].argmin())] if pool else None
 
 
 class LifoPolicy(DispatchPolicy):
@@ -109,7 +112,8 @@ class LifoPolicy(DispatchPolicy):
         return _nearest_idle_vehicle(env, call)
 
     def choose_call(self, env, vehicle):
-        return lifo_choose_call([(c.id, c.created_at) for c in env.pool.values()])
+        pool = env.pool
+        return pool.ids[int(pool.columns[4].argmax())] if pool else None
 
 
 class NearestPolicy(DispatchPolicy):

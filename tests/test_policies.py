@@ -304,6 +304,9 @@ def test_call_pool_matches_a_dict(seed):
         v.location = Coordinate(grid(), grid())
         snapshot = [(c.id, c.origin.x, c.origin.y) for c in ref.values()]
         assert NearestPolicy().choose_call(env, v) == nn_choose(snapshot, tuple(v.location))
+        times = [(c.id, c.created_at) for c in ref.values()]  # quarter-minute grid: ties
+        assert FifoPolicy().choose_call(env, v) == fifo_choose_call(times)
+        assert LifoPolicy().choose_call(env, v) == lifo_choose_call(times)
     with pytest.raises(KeyError):
         env.pool.pop(next_id + 1)
 
