@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -60,8 +61,22 @@ class DemandSource:
             if np.any(rates < 0) or not np.any(rates > 0):
                 raise DemandError("hourly rates must be nonnegative with at least one positive")
             self.hourly_rates = rates
+            _check_clusters(self.clusters)
         else:
             raise DemandError(f"unknown demand mode {self.mode!r}")
+
+
+def _check_clusters(clusters: Sequence[GaussianCluster]) -> None:
+    """Reject clusters that would make the pick weights or the spread meaningless."""
+    for i, c in enumerate(clusters):
+        if not all(map(math.isfinite, c.center)):
+            raise DemandError(f"cluster {i}: center {tuple(c.center)} must be finite")
+        if not (math.isfinite(c.sigma) and c.sigma > 0):
+            raise DemandError(f"cluster {i}: sigma {c.sigma} must be finite and positive")
+        if not (math.isfinite(c.weight) and c.weight >= 0):
+            raise DemandError(f"cluster {i}: weight {c.weight} must be finite and nonnegative")
+    if clusters and not sum(c.weight for c in clusters) > 0:
+        raise DemandError("cluster weights must not all be zero")
 
 
 @dataclass(frozen=True)
@@ -125,32 +140,71 @@ def load_trip_records(
     return records, dropped
 
 
+# gamma support is (0, inf); tolerances are floored here to guard the
+# measure-zero underflow to 0.0
+MIN_TOLERANCE = 1e-9
+
+
 def sample_tolerance(cfg: StochasticConfig, rng: np.random.Generator) -> float:
     """Draw a waiting tolerance (minutes) from the configured gamma density."""
-    draw = rng.gamma(cfg.tolerance_shape, cfg.tolerance_scale)
-    # gamma support is (0, inf); guard the measure-zero underflow to 0.0
-    return max(draw, 1e-9)
+    return max(rng.gamma(cfg.tolerance_shape, cfg.tolerance_scale), MIN_TOLERANCE)
+
+
+def sample_tolerances(cfg: StochasticConfig, rng: np.random.Generator, n: int) -> List[float]:
+    """`n` waiting tolerances in one draw: the values of `n` `sample_tolerance` calls."""
+    draws = rng.gamma(cfg.tolerance_shape, cfg.tolerance_scale, size=n)
+    return np.maximum(draws, MIN_TOLERANCE).tolist()
+
 
 def sample_rejection_prob(cfg: StochasticConfig, rng: np.random.Generator) -> float:
     """Draw a driver rejection probability from the configured beta density."""
     return float(rng.beta(cfg.reject_alpha, cfg.reject_beta))
 
 
-def _sample_location(
-    rng: np.random.Generator,
-    clusters: Sequence[GaussianCluster],
-    box: BoundingBox,
-) -> Coordinate:
-    if not clusters:
-        return Coordinate(
-            rng.uniform(box.x_min, box.x_max), rng.uniform(box.y_min, box.y_max)
-        )
+def _uniform_locations(
+    rng: np.random.Generator, box: BoundingBox, m: int
+) -> Tuple[List[Coordinate], List[Coordinate]]:
+    """Origins and destinations of `m` calls, uniform over `box`.
+
+    One (m, 4) block whose row i is origin x, origin y, destination x and
+    destination y of call i: the same 4m draws, in the same order, as four
+    scalar `rng.uniform` calls per call.
+    """
+    low = [box.x_min, box.y_min, box.x_min, box.y_min]
+    high = [box.x_max, box.y_max, box.x_max, box.y_max]
+    ox, oy, dx, dy = rng.uniform(low, high, size=(m, 4)).T.tolist()
+    return list(map(Coordinate, ox, oy)), list(map(Coordinate, dx, dy))
+
+
+def _cluster_locations(
+    rng: np.random.Generator, clusters: Sequence[GaussianCluster], box: BoundingBox, m: int
+) -> Tuple[List[Coordinate], List[Coordinate]]:
+    """Origins and destinations of `m` calls around weighted Gaussian clusters.
+
+    Per location: one `rng.random` picks the cluster, then two scalar
+    `rng.normal` draws give x and y, each clamped into `box`.  The pick is
+    the one `rng.choice(len(clusters), p=weights)` makes, computed from a
+    cdf built once: same draw, same cluster, same stream state.
+    """
     weights = np.array([c.weight for c in clusters], dtype=float)
-    weights /= weights.sum()
-    c = clusters[rng.choice(len(clusters), p=weights)]
-    x = float(np.clip(rng.normal(c.center.x, c.sigma), box.x_min, box.x_max))
-    y = float(np.clip(rng.normal(c.center.y, c.sigma), box.y_min, box.y_max))
-    return Coordinate(x, y)
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
+    random, normal = rng.random, rng.normal
+    x_min, x_max, y_min, y_max = box
+
+    def location() -> Coordinate:
+        c = clusters[bisect_right(cdf, random())]
+        # min(hi, max(lo, v)) keeps np.clip's choice of operand on ties
+        x = min(x_max, max(x_min, normal(c.center.x, c.sigma)))
+        y = min(y_max, max(y_min, normal(c.center.y, c.sigma)))
+        return Coordinate(x, y)
+
+    origins, destinations = [], []
+    for _ in range(m):
+        origins.append(location())
+        destinations.append(location())
+    return origins, destinations
 
 
 def _strictly_increasing(times: List[float]) -> List[float]:
@@ -194,6 +248,15 @@ def generate_daily_calls(
     Records mode resamples same-day-of-week rows with replacement and
     +/-15 min arrival jitter; synthetic mode thins a Poisson stream against
     the hour-of-week rate profile.  At most `daily_cap` calls are returned.
+
+    Draw order on `rng`, a contract that the pinned digests hold:
+    - records: `daily_cap` row indices, then `daily_cap` jitters;
+    - synthetic: the thinning loop (an exponential gap, then a uniform
+      accept test, per candidate arrival), then for each of the m kept
+      calls in time order its origin and then its destination.  Uniform
+      locations take x then y; clustered ones take a cluster pick, x, y.
+    Draws that follow each other from one distribution are taken as one
+    array draw, which gives the same values as the scalar draws.
     """
     if daily_cap < 1:
         raise ValueError("daily_cap must be >= 1")
@@ -204,11 +267,12 @@ def generate_daily_calls(
         rows = [r for r in source.records if r.day_of_week == day_of_week]
         if not rows:
             raise DemandError(f"no trip records for day_of_week={day_of_week}")
-        picked = [rows[i] for i in rng.integers(0, len(rows), size=daily_cap)]
+        picked = rng.integers(0, len(rows), size=daily_cap).tolist()
+        jitter = rng.uniform(-ARRIVAL_JITTER_MIN, ARRIVAL_JITTER_MIN, size=daily_cap).tolist()
         entries = []
-        for r in picked:
-            minute_of_day = r.request_minute_of_week - day_of_week * 1440.0
-            t = minute_of_day + rng.uniform(-ARRIVAL_JITTER_MIN, ARRIVAL_JITTER_MIN)
+        for i, dt in zip(picked, jitter):
+            r = rows[i]
+            t = (r.request_minute_of_week - day_of_week * 1440.0) + dt
             if 0.0 <= t < MINUTES_PER_DAY:
                 entries.append((t, r.origin, r.destination))
         entries.sort(key=lambda e: e[0])
@@ -217,14 +281,11 @@ def generate_daily_calls(
 
     times = _strictly_increasing(_synthetic_arrivals(source.hourly_rates, day_of_week, rng))
     times = times[:daily_cap]
-    return [
-        (
-            t,
-            _sample_location(rng, source.clusters, source.box),
-            _sample_location(rng, source.clusters, source.box),
-        )
-        for t in times
-    ]
+    if source.clusters:
+        origins, destinations = _cluster_locations(rng, source.clusters, source.box, len(times))
+    else:
+        origins, destinations = _uniform_locations(rng, source.box, len(times))
+    return list(zip(times, origins, destinations))
 
 
 def flat_hourly_rates(rate_per_hour: float) -> np.ndarray:

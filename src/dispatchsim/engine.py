@@ -21,7 +21,7 @@ from . import events as ev
 from .demand import StochasticConfig, sample_rejection_prob
 from .entities import Call, CallPool, CallStatus, FleetState, Vehicle
 from .events import EventQueue
-from .geometry import BoundingBox, Coordinate, manhattan_distance, travel_time
+from .geometry import BoundingBox, manhattan_distance, travel_time
 
 REPOSITION_HOLD_MIN = 5.0
 DEMAND_WINDOW_MIN = 15.0
@@ -283,14 +283,22 @@ def build_fleet(
     rejection_rng: np.random.Generator,
     box: BoundingBox = BoundingBox(),
 ) -> List[Vehicle]:
-    """Fleet with uniform initial placement and beta-sampled rejection probs."""
-    fleet = []
-    for i in range(n):  # draws per vehicle: x, y, then the rejection probability
-        x = placement_rng.uniform(box.x_min, box.x_max)
-        y = placement_rng.uniform(box.y_min, box.y_max)
-        reject = sample_rejection_prob(stochastic, rejection_rng)
-        fleet.append(Vehicle(i, Coordinate(x, y), Coordinate(x, y), reject_prob=reject))
-    return fleet
+    """Fleet with uniform initial placement and beta-sampled rejection probs.
+
+    The vehicles are views onto one n-row `FleetState`.  Draws per vehicle,
+    in id order: x then y from `placement_rng`, then the rejection
+    probability from `rejection_rng`; one generator may serve as both.
+    """
+    xs, ys, rejects = [], [], []
+    for _ in range(n):
+        xs.append(placement_rng.uniform(box.x_min, box.x_max))
+        ys.append(placement_rng.uniform(box.y_min, box.y_max))
+        rejects.append(sample_rejection_prob(stochastic, rejection_rng))
+    state = FleetState(n)
+    state.x[:] = state.dest_x[:] = xs
+    state.y[:] = state.dest_y[:] = ys
+    state.reject_prob[:] = rejects
+    return state.views()
 
 
 def run_day(

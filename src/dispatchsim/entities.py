@@ -186,6 +186,16 @@ class FleetState:
             v.bind(state, i)
         return state
 
+    def views(self) -> List["Vehicle"]:
+        """One vehicle per row, vehicle i a view onto row i; the rows keep their values."""
+        fleet = []
+        for i in range(len(self.idle)):
+            v = Vehicle.__new__(Vehicle)
+            v.id = i
+            v.bind(self, i)
+            fleet.append(v)
+        return fleet
+
 
 def _cell(col: int) -> property:
     """A vehicle attribute kept in float column `col` of the vehicle's row."""
@@ -215,7 +225,8 @@ class Vehicle:
     """A fleet unit: a view onto row `row` of the `FleetState` `store`.
 
     A vehicle made on its own owns a one-row store until an environment
-    adopts its fleet.  `reject_prob` is sampled once at creation.
+    adopts its fleet; `FleetState.views` makes vehicles over an existing
+    store instead.  `reject_prob` is sampled once at creation.
     """
 
     __slots__ = ("id", "store", "row", "_floats", "_idle")

@@ -17,7 +17,7 @@ from .demand import (
     flat_hourly_rates,
     generate_daily_calls,
     load_trip_records,
-    sample_tolerance,
+    sample_tolerances,
 )
 from .engine import DayMetrics, build_fleet, run_day
 from .entities import Call
@@ -59,17 +59,17 @@ def build_calls(
     demand_rng: np.random.Generator,
     tolerance_rng: np.random.Generator,
 ) -> List[Call]:
-    stochastic = cfg.stochastic
+    """One day's calls, with ids 0..n-1 in arrival order.
+
+    Draw order: everything `generate_daily_calls` takes from `demand_rng`
+    first, then one tolerance per call, in id order, from `tolerance_rng`.
+    So one generator may serve as both streams.
+    """
     prototypes = generate_daily_calls(source, day_of_week, daily_calls, demand_rng)
+    tolerances = sample_tolerances(cfg.stochastic, tolerance_rng, len(prototypes))
     return [
-        Call(
-            id=i,
-            created_at=t,
-            origin=origin,
-            destination=dest,
-            max_wait=sample_tolerance(stochastic, tolerance_rng),
-        )
-        for i, (t, origin, dest) in enumerate(prototypes)
+        Call(i, t, origin, dest, max_wait)
+        for i, ((t, origin, dest), max_wait) in enumerate(zip(prototypes, tolerances))
     ]
 
 

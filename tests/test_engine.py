@@ -186,6 +186,16 @@ def test_empty_day_zero_metrics():
     assert m.events_processed == 0
 
 
+def test_build_fleet_is_one_store_of_views():
+    fleet = build_fleet(5, StochasticConfig(), np.random.default_rng(0), np.random.default_rng(1))
+    store = fleet[0].store
+    assert store.floats.shape == (6, 5)
+    assert [v.id for v in fleet] == [v.row for v in fleet] == list(range(5))
+    assert all(v.store is store for v in fleet)
+    assert all(v.location == v.move_destination and not v.busy and v.free_at == 0.0 for v in fleet)
+    assert list(store.reject_prob) == [v.reject_prob for v in fleet]
+
+
 def _random_day(seed, policy_cls=NearestPolicy):
     r = np.random.default_rng(seed)
     fleet = build_fleet(
