@@ -12,10 +12,8 @@ events or gradient steps of each round), a SHA-256 over each side's `src/`
 files, and per workload and end-to-end metric: each side's quartiles, the
 parent's interquartile range, the pairs the change won and whether the
 change's median stays within the bound that `BENCHMARK.json` fixes.  With
-`--trace 1` the runs use perfbench's traced mode instead and the summary
-covers the per-layer metrics (which have no bound).  With `--append`,
-`--out` holds a JSON list of such records and the new one is added to it,
-so one file can keep several comparisons.
+`--append`, `--out` holds a JSON list of such records and the new one is
+added to it, so one file can keep several comparisons.
 """
 
 from __future__ import annotations
@@ -41,9 +39,9 @@ def src_digest(root: Path) -> str:
     return digest.hexdigest()
 
 
-def run_once(root: Path, workload: str, seed: int, trace: int) -> dict:
+def run_once(root: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", "5", "--trace", str(trace)]
+           "--seconds", "5", "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -68,7 +66,7 @@ def quartiles(values):
     return [q1, q2, q3]
 
 
-def summarize(runs, metrics) -> dict:
+def summarize(runs, end_to_end) -> dict:
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         rows = [r for r in runs if r["workload"] == workload]
@@ -77,25 +75,24 @@ def summarize(runs, metrics) -> dict:
             s: {r["seed"]: r["metrics"] for r in rows if r["side"] == s} for s in ("parent", "change")
         }
         summary[workload] = {}
-        for metric in metrics:
+        for metric in end_to_end:
             name, higher = metric["name"], metric["better"] == "higher"
             parent = [side["parent"][s][name] for s in seeds]
             change = [side["change"][s][name] for s in seeds]
             pq, cq = quartiles(parent), quartiles(change)
             wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
-            entry = summary[workload][name] = {
+            worse_by = (pq[1] - cq[1]) / pq[1] if higher else (cq[1] - pq[1]) / pq[1]
+            summary[workload][name] = {
                 "better": metric["better"],
+                "bound": metric["bound"],
                 "seeds": seeds,
                 "parent_q1_median_q3": pq,
                 "change_q1_median_q3": cq,
-                "median_ratio_change_over_parent": cq[1] / pq[1] if pq[1] else None,
+                "median_ratio_change_over_parent": cq[1] / pq[1],
                 "parent_iqr": pq[2] - pq[0],
                 "change_wins_pairs": f"{wins}/{len(seeds)}",
+                "within_bound": worse_by <= metric["bound"],
             }
-            if "bound" in metric:  # end-to-end metrics only; their parent medians are never 0
-                worse_by = (pq[1] - cq[1]) / pq[1] if higher else (cq[1] - pq[1]) / pq[1]
-                entry["bound"] = metric["bound"]
-                entry["within_bound"] = worse_by <= metric["bound"]
     return summary
 
 
@@ -106,23 +103,20 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", required=True, help="comma-separated workload names")
     ap.add_argument("--seeds", required=True, help="comma-separated workload seeds")
     ap.add_argument("--what", required=True, help="what the change does, for the record")
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0,
-                    help="1 runs perfbench's traced mode and summarizes its per-layer metrics")
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--append", action="store_true",
                     help="add the record to the JSON list in --out instead of replacing the file")
     args = ap.parse_args(argv)
 
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
-    metrics = spec["per_layer" if args.trace else "end_to_end"]
+    end_to_end = json.loads((roots["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     runs = []
     pair = 0
     for workload in args.workloads.split(","):
         for seed in (int(s) for s in args.seeds.split(",")):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                run = run_once(roots[side], workload, seed, args.trace)
+                run = run_once(roots[side], workload, seed)
                 runs.append({"workload": workload, "seed": seed, "side": side,
                              "first": order[0], **run})
                 print(f"{workload} seed {seed} {side}: {run['metrics']}", flush=True)
@@ -132,16 +126,14 @@ def main(argv=None) -> int:
         "what": args.what,
         "machine": f"{platform.machine()}, {platform.system()}, Python {platform.python_version()}",
         "command": "python3 perfbench/run.py --workload <workload> --seed <seed> --seconds 5 "
-                   f"--trace {args.trace}, from the root of each side, one run at a time",
+                   "--trace 0, from the root of each side, one run at a time",
         "order": "pairs alternate which side runs first (field 'first')",
         "src_sha256": {side: src_digest(root) for side, root in roots.items()},
-        "summary": summarize(runs, metrics),
+        "summary": summarize(runs, end_to_end),
         "runs": runs,
     }
     if args.append:
         records = json.loads(args.out.read_text()) if args.out.exists() else []
-        if isinstance(records, dict):  # a file written without --append holds one record
-            records = [records]
         record = [*records, record]
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -75,8 +74,12 @@ def _check_clusters(clusters: Sequence[GaussianCluster]) -> None:
             raise DemandError(f"cluster {i}: sigma {c.sigma} must be finite and positive")
         if not (math.isfinite(c.weight) and c.weight >= 0):
             raise DemandError(f"cluster {i}: weight {c.weight} must be finite and nonnegative")
-    if clusters and not sum(c.weight for c in clusters) > 0:
-        raise DemandError("cluster weights must not all be zero")
+    if clusters:
+        # the total that _cluster_location's probabilities are divided by
+        with np.errstate(over="ignore"):
+            total = float(np.sum([c.weight for c in clusters]))
+        if not (math.isfinite(total) and total > 0):
+            raise DemandError(f"cluster weights must have a finite, positive sum, not {total}")
 
 
 @dataclass(frozen=True)
@@ -176,35 +179,17 @@ def _uniform_locations(
     return list(map(Coordinate, ox, oy)), list(map(Coordinate, dx, dy))
 
 
-def _cluster_locations(
-    rng: np.random.Generator, clusters: Sequence[GaussianCluster], box: BoundingBox, m: int
-) -> Tuple[List[Coordinate], List[Coordinate]]:
-    """Origins and destinations of `m` calls around weighted Gaussian clusters.
-
-    Per location: one `rng.random` picks the cluster, then two scalar
-    `rng.normal` draws give x and y, each clamped into `box`.  The pick is
-    the one `rng.choice(len(clusters), p=weights)` makes, computed from a
-    cdf built once: same draw, same cluster, same stream state.
-    """
-    weights = np.array([c.weight for c in clusters], dtype=float)
-    cdf = (weights / weights.sum()).cumsum()
-    cdf /= cdf[-1]
-    cdf = cdf.tolist()
-    random, normal = rng.random, rng.normal
-    x_min, x_max, y_min, y_max = box
-
-    def location() -> Coordinate:
-        c = clusters[bisect_right(cdf, random())]
-        # min(hi, max(lo, v)) keeps np.clip's choice of operand on ties
-        x = min(x_max, max(x_min, normal(c.center.x, c.sigma)))
-        y = min(y_max, max(y_min, normal(c.center.y, c.sigma)))
-        return Coordinate(x, y)
-
-    origins, destinations = [], []
-    for _ in range(m):
-        origins.append(location())
-        destinations.append(location())
-    return origins, destinations
+def _cluster_location(
+    rng: np.random.Generator,
+    clusters: Sequence[GaussianCluster],
+    p: np.ndarray,
+    box: BoundingBox,
+) -> Coordinate:
+    """A cluster picked with probabilities `p`, then x and y around it, clamped into `box`."""
+    c = clusters[rng.choice(len(clusters), p=p)]
+    x = float(np.clip(rng.normal(c.center.x, c.sigma), box.x_min, box.x_max))
+    y = float(np.clip(rng.normal(c.center.y, c.sigma), box.y_min, box.y_max))
+    return Coordinate(x, y)
 
 
 def _strictly_increasing(times: List[float]) -> List[float]:
@@ -281,11 +266,19 @@ def generate_daily_calls(
 
     times = _strictly_increasing(_synthetic_arrivals(source.hourly_rates, day_of_week, rng))
     times = times[:daily_cap]
-    if source.clusters:
-        origins, destinations = _cluster_locations(rng, source.clusters, source.box, len(times))
-    else:
+    if not source.clusters:
         origins, destinations = _uniform_locations(rng, source.box, len(times))
-    return list(zip(times, origins, destinations))
+        return list(zip(times, origins, destinations))
+    weights = np.array([c.weight for c in source.clusters], dtype=float)
+    p = weights / weights.sum()
+    return [
+        (
+            t,
+            _cluster_location(rng, source.clusters, p, source.box),
+            _cluster_location(rng, source.clusters, p, source.box),
+        )
+        for t in times
+    ]
 
 
 def flat_hourly_rates(rate_per_hour: float) -> np.ndarray:

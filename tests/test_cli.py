@@ -93,13 +93,18 @@ def test_unknown_scenario_exits_2(cfg_file, capsys):
     assert "--scenario" in err and "bogus" in err
 
 
-def test_bad_cluster_weight_exits_2(cfg_file, capsys):
-    cfg_file.write_text(
-        cfg_file.read_text() + "spatial_mode=clusters\nclusters=0.2,0.2,0.1,1;0.8,0.8,0.1,-1\n"
-    )
+@pytest.mark.parametrize(
+    "clusters, message",
+    [
+        ("0.2,0.2,0.1,1;0.8,0.8,0.1,-1", "error: cluster 1: weight -1.0"),
+        ("0.2,0.2,0.1,1e308;0.8,0.8,0.1,1e308", "error: cluster weights must have a finite"),
+    ],
+)
+def test_bad_cluster_weight_exits_2(cfg_file, capsys, clusters, message):
+    cfg_file.write_text(cfg_file.read_text() + f"spatial_mode=clusters\nclusters={clusters}\n")
     rc = main(["simulate", "--config", str(cfg_file)])
     assert rc == 2
-    assert "error: cluster 1: weight -1.0" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_missing_checkpoints_exit_2(cfg_file, tmp_path, capsys):

@@ -11,7 +11,6 @@ from dispatchsim.demand import (
     flat_hourly_rates,
     generate_daily_calls,
     load_trip_records,
-    _cluster_locations,
     _uniform_locations,
     sample_rejection_prob,
     sample_tolerance,
@@ -153,62 +152,32 @@ def test_source_validation():
 
 
 GOOD_CLUSTER = GaussianCluster(Coordinate(0.5, 0.5), 0.1, 1.0)
+ZERO_CLUSTER = GaussianCluster(Coordinate(0.5, 0.5), 0.1, 0.0)
+# each weight is finite, their sum overflows to inf
+HUGE_CLUSTER = GaussianCluster(Coordinate(0.5, 0.5), 0.1, 1e308)
+
+
+def _with_good(bad):
+    return [GOOD_CLUSTER, bad]
 
 
 @pytest.mark.parametrize(
-    "bad, message",
+    "clusters, message",
     [
-        (GaussianCluster(Coordinate(0.2, 0.2), 0.1, -1.0), "cluster 1: weight -1.0"),
-        (GaussianCluster(Coordinate(0.2, 0.2), 0.1, float("nan")), "cluster 1: weight nan"),
-        (GaussianCluster(Coordinate(0.2, 0.2), 0.1, float("inf")), "cluster 1: weight inf"),
-        (GaussianCluster(Coordinate(0.2, 0.2), 0.0, 1.0), "cluster 1: sigma 0.0"),
-        (GaussianCluster(Coordinate(0.2, 0.2), -0.1, 1.0), "cluster 1: sigma -0.1"),
-        (GaussianCluster(Coordinate(0.2, 0.2), float("nan"), 1.0), "cluster 1: sigma nan"),
-        (GaussianCluster(Coordinate(float("inf"), 0.2), 0.1, 1.0), "cluster 1: center"),
+        (_with_good(GaussianCluster(Coordinate(0.2, 0.2), 0.1, -1.0)), "cluster 1: weight -1.0"),
+        (_with_good(GaussianCluster(Coordinate(0.2, 0.2), 0.1, float("nan"))), "cluster 1: weight nan"),
+        (_with_good(GaussianCluster(Coordinate(0.2, 0.2), 0.1, float("inf"))), "cluster 1: weight inf"),
+        (_with_good(GaussianCluster(Coordinate(0.2, 0.2), 0.0, 1.0)), "cluster 1: sigma 0.0"),
+        (_with_good(GaussianCluster(Coordinate(0.2, 0.2), -0.1, 1.0)), "cluster 1: sigma -0.1"),
+        (_with_good(GaussianCluster(Coordinate(0.2, 0.2), float("nan"), 1.0)), "cluster 1: sigma nan"),
+        (_with_good(GaussianCluster(Coordinate(float("inf"), 0.2), 0.1, 1.0)), "cluster 1: center"),
+        ([ZERO_CLUSTER, ZERO_CLUSTER], "finite, positive sum, not 0.0"),
+        ([HUGE_CLUSTER, HUGE_CLUSTER], "finite, positive sum, not inf"),
     ],
 )
-def test_bad_cluster_is_rejected(bad, message):
+def test_bad_cluster_is_rejected(clusters, message):
     with pytest.raises(DemandError, match=message):
-        DemandSource(
-            mode="synthetic", hourly_rates=flat_hourly_rates(1.0), clusters=[GOOD_CLUSTER, bad]
-        )
-
-
-def test_all_zero_cluster_weights_are_rejected():
-    zero = GaussianCluster(Coordinate(0.5, 0.5), 0.1, 0.0)
-    with pytest.raises(DemandError, match="weights must not all be zero"):
-        DemandSource(mode="synthetic", hourly_rates=flat_hourly_rates(1.0), clusters=[zero, zero])
-
-
-def _scalar_cluster_location(g, clusters, box):
-    """One clustered location as `Generator.choice` and `np.clip` draw it."""
-    weights = np.array([c.weight for c in clusters], dtype=float)
-    weights /= weights.sum()
-    c = clusters[g.choice(len(clusters), p=weights)]
-    x = float(np.clip(g.normal(c.center.x, c.sigma), box.x_min, box.x_max))
-    y = float(np.clip(g.normal(c.center.y, c.sigma), box.y_min, box.y_max))
-    return Coordinate(x, y)
-
-
-@pytest.mark.parametrize(
-    "clusters",
-    [
-        [GOOD_CLUSTER],
-        [
-            GaussianCluster(Coordinate(-0.9, 0.45), 0.3, 3.0),
-            GaussianCluster(Coordinate(0.5, 0.25), 0.2, 0.0),
-            GaussianCluster(Coordinate(1.9, 0.05), 0.4, 0.7),
-            GaussianCluster(Coordinate(0.0, 0.3), 0.01, 1e-3),
-        ],
-    ],
-)
-def test_cluster_locations_match_generator_choice(clusters):
-    box = BoundingBox(-1.0, 2.0, 0.0, 0.5)
-    g, ref = rng(8), rng(8)
-    origins, destinations = _cluster_locations(g, clusters, box, 5000)
-    expected = [_scalar_cluster_location(ref, clusters, box) for _ in range(10_000)]
-    assert [c for pair in zip(origins, destinations) for c in pair] == expected
-    assert g.bit_generator.state == ref.bit_generator.state
+        DemandSource(mode="synthetic", hourly_rates=flat_hourly_rates(1.0), clusters=clusters)
 
 
 def test_uniform_locations_match_scalar_draws():
