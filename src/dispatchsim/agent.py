@@ -129,8 +129,8 @@ class DQNAgent:
         self._steps_since_sync = 0
 
         # epoch bookkeeping
-        self._pending: Optional[dict] = None  # awaiting next_candidates
-        self._armed: Optional[dict] = None  # decision awaiting proposal outcome
+        self._armed: Optional[tuple] = None  # (state_action, clock) awaiting an outcome
+        self._pending: Optional[tuple] = None  # (state_action, reward, clock) awaiting next
 
         # learning-curve samples
         self.reward_history: List[float] = []
@@ -159,24 +159,29 @@ class DQNAgent:
 
     # -- transition recording -----------------------------------------------------
 
-    def observe_epoch(self, candidates: np.ndarray, clock: float) -> None:
-        """Complete the pending transition with this epoch's candidate set."""
+    def _close_pending(self, clock: float, candidates: Optional[np.ndarray]) -> None:
+        """Push the pending transition; no next candidates means terminal."""
         if self._pending is None:
             return
-        p = self._pending
+        state_action, reward, start = self._pending
+        terminal = candidates is None
         self.buffer.push(
             Transition(
-                state_action=p["state_action"],
-                reward=p["reward"],
-                sojourn=max(clock - p["clock"], MIN_SOJOURN),
-                next_candidates=candidates.copy(),
-                terminal=False,
+                state_action=state_action,
+                reward=reward,
+                sojourn=max(clock - start, MIN_SOJOURN),
+                next_candidates=None if terminal else candidates.copy(),
+                terminal=terminal,
             )
         )
         self._pending = None
 
+    def observe_epoch(self, candidates: np.ndarray, clock: float) -> None:
+        """Complete the pending transition with this epoch's candidate set."""
+        self._close_pending(clock, candidates)
+
     def arm_decision(self, state_action: np.ndarray, clock: float) -> None:
-        self._armed = {"state_action": state_action.copy(), "clock": clock}
+        self._armed = (state_action.copy(), clock)
 
     def resolve_proposal(self, outcome: ProposalOutcome, eta: float, drive: float) -> None:
         """Open a pending transition for the proposal just resolved."""
@@ -188,11 +193,8 @@ class DQNAgent:
             )
         else:
             reward = 0.0
-        self._pending = {
-            "state_action": self._armed["state_action"],
-            "reward": reward,
-            "clock": self._armed["clock"],
-        }
+        state_action, clock = self._armed
+        self._pending = (state_action, reward, clock)
         self._armed = None
         self.reward_history.append(reward)
         if outcome is ProposalOutcome.ACCEPTED:
@@ -200,18 +202,7 @@ class DQNAgent:
 
     def finish_day(self, clock: float) -> None:
         """Mark any pending transition terminal at the day boundary."""
-        if self._pending is not None:
-            p = self._pending
-            self.buffer.push(
-                Transition(
-                    state_action=p["state_action"],
-                    reward=p["reward"],
-                    sojourn=max(clock - p["clock"], MIN_SOJOURN),
-                    next_candidates=None,
-                    terminal=True,
-                )
-            )
-            self._pending = None
+        self._close_pending(clock, None)
         self._armed = None
 
     # -- learning ---------------------------------------------------------------
@@ -279,28 +270,10 @@ class DQNPolicy(DispatchPolicy):
             agent.train_mode = on
 
     def choose_vehicle(self, env, call):
-        agent = self.new_call_agent
-        mat, ids = new_call_candidates(env, call)
-        if not ids:
-            return None
-        if agent.train_mode:
-            agent.observe_epoch(mat, env.clock)
-        idx = agent.act(mat)
-        if agent.train_mode:
-            agent.arm_decision(mat[idx], env.clock)
-        return ids[idx]
+        return _decide(self.new_call_agent, env, *new_call_candidates(env, call))
 
     def choose_call(self, env, vehicle):
-        agent = self.free_vehicle_agent
-        mat, ids = free_vehicle_candidates(env, vehicle)
-        if not ids:
-            return None
-        if agent.train_mode:
-            agent.observe_epoch(mat, env.clock)
-        idx = agent.act(mat)
-        if agent.train_mode:
-            agent.arm_decision(mat[idx], env.clock)
-        return ids[idx]
+        return _decide(self.free_vehicle_agent, env, *free_vehicle_candidates(env, vehicle))
 
     def on_proposal_outcome(self, env, epoch_kind, outcome, eta, drive):
         agent = (
@@ -313,3 +286,15 @@ class DQNPolicy(DispatchPolicy):
         for agent in (self.new_call_agent, self.free_vehicle_agent):
             if agent.train_mode:
                 agent.finish_day(env.clock)
+
+
+def _decide(agent: DQNAgent, env, mat: np.ndarray, ids: list):
+    """One decision epoch: close the pending transition, act, arm the pick."""
+    if not ids:
+        return None
+    if agent.train_mode:
+        agent.observe_epoch(mat, env.clock)
+    idx = agent.act(mat)
+    if agent.train_mode:
+        agent.arm_decision(mat[idx], env.clock)
+    return ids[idx]

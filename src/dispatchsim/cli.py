@@ -69,7 +69,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, DemandError, OSError, ValueError) as exc:
+    except (ConfigError, DemandError, FloatingPointError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,8 @@ finite-difference verification of the gradients.
 from __future__ import annotations
 
 import io
+import itertools
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,27 +56,30 @@ class QNetwork:
         self.dtype = np.dtype(dtype)
         self.leaky_slope = leaky_slope
         rng = rng or np.random.default_rng()
-        self.weights: List[np.ndarray] = []
-        self.biases: List[np.ndarray] = []
-        for fan_in, fan_out in zip(self.dims[:-1], self.dims[1:]):
-            bound = np.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(
-                rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(self.dtype)
-            )
-            self.biases.append(np.zeros(fan_out, dtype=self.dtype))
-        self._init_adam()
-
-    def _init_adam(self) -> None:
-        self.adam_m = [np.zeros_like(p) for p in self.parameters()]
-        self.adam_v = [np.zeros_like(p) for p in self.parameters()]
+        shapes = [
+            shape
+            for fan_in, fan_out in zip(self.dims[:-1], self.dims[1:])
+            for shape in ((fan_in, fan_out), (fan_out,))
+        ]
+        sizes = [math.prod(shape) for shape in shapes]
+        # every parameter lives once, in `params`; the layers are views onto it
+        self.params = np.zeros(sum(sizes), dtype=self.dtype)
+        starts = [0, *itertools.accumulate(sizes)]
+        views = [
+            self.params[i:j].reshape(shape) for shape, i, j in zip(shapes, starts, starts[1:])
+        ]
+        self.weights: Tuple[np.ndarray, ...] = tuple(views[0::2])
+        self.biases: Tuple[np.ndarray, ...] = tuple(views[1::2])
+        for w in self.weights:
+            bound = np.sqrt(6.0 / sum(w.shape))
+            w[...] = rng.uniform(-bound, bound, size=w.shape).astype(self.dtype)
+        self.adam_m = np.zeros_like(self.params)
+        self.adam_v = np.zeros_like(self.params)
         self.adam_t = 0
 
     def parameters(self) -> List[np.ndarray]:
-        params = []
-        for w, b in zip(self.weights, self.biases):
-            params.append(w)
-            params.append(b)
-        return params
+        """Layer views in gradient order: w0, b0, w1, b1, ..."""
+        return [p for wb in zip(self.weights, self.biases) for p in wb]
 
     # -- forward / backward ---------------------------------------------------
 
@@ -113,12 +118,13 @@ class QNetwork:
         dq = (smooth_l1_grad(q, target) / n).astype(self.dtype)
 
         grads: List[np.ndarray] = [None] * (2 * len(self.weights))
+        slope = self.dtype.type(self.leaky_slope)
         delta = dq[:, None]  # gradient w.r.t. the layer output
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
             h_in, z = cache[i]
             if i < last:
-                delta = delta * np.where(z > 0, 1.0, self.leaky_slope).astype(self.dtype)
+                delta = np.where(z > 0, delta, slope * delta)
             grads[2 * i] = h_in.T @ delta
             grads[2 * i + 1] = delta.sum(axis=0)
             if i > 0:
@@ -133,18 +139,16 @@ class QNetwork:
         for g, p in zip(grads, params):
             if g.shape != p.shape:
                 raise ValueError(f"gradient shape {g.shape} != parameter {p.shape}")
+        g = np.concatenate([grad.reshape(-1) for grad in grads])
         self.adam_t += 1
         t = self.adam_t
-        for i, (g, p) in enumerate(zip(grads, params)):
-            m = self.adam_m[i]
-            v = self.adam_v[i]
-            m *= ADAM_BETA1
-            m += (1 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1 - ADAM_BETA2) * g * g
-            m_hat = m / (1 - ADAM_BETA1**t)
-            v_hat = v / (1 - ADAM_BETA2**t)
-            p -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(self.dtype)
+        m, v = self.adam_m, self.adam_v
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * g * g
+        step = lr * (m / (1 - ADAM_BETA1**t)) / (np.sqrt(v / (1 - ADAM_BETA2**t)) + ADAM_EPS)
+        self.params -= step.astype(self.dtype, copy=False)
 
     def train_batch(self, x: np.ndarray, target: np.ndarray, lr: float) -> float:
         loss, grads = self.loss_and_gradients(x, target)
@@ -156,10 +160,7 @@ class QNetwork:
     def copy_from(self, other: "QNetwork") -> None:
         if other.dims != self.dims:
             raise ValueError("network shape mismatch")
-        for dst, src in zip(self.weights, other.weights):
-            dst[...] = src
-        for dst, src in zip(self.biases, other.biases):
-            dst[...] = src
+        self.params[...] = other.params
 
     def clone(self) -> "QNetwork":
         twin = QNetwork(self.dims, dtype=self.dtype, leaky_slope=self.leaky_slope)
@@ -213,8 +214,9 @@ def load_checkpoint(path) -> Tuple[QNetwork, str]:
         b = np.array([np.float32(t) for t in lines[row + 1].split()], dtype=np.float32)
         if w.size != fan_in * fan_out or b.size != fan_out:
             raise ValueError(f"{path}: layer {i} size mismatch")
-        net.weights[i] = w.reshape(fan_in, fan_out)
-        net.biases[i] = b
+        net.weights[i][...] = w.reshape(fan_in, fan_out)
+        net.biases[i][...] = b
         row += 2
-    net._init_adam()
+    if not np.isfinite(net.params).all():
+        raise ValueError(f"{path}: non-finite parameter in checkpoint")
     return net, agent_name

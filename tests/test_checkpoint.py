@@ -89,3 +89,27 @@ def test_load_resets_optimizer_state(tmp_path):
     loaded, _ = load_checkpoint(path)
     assert loaded.adam_t == 0
     assert all(np.all(m == 0) for m in loaded.adam_m)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_parameter_is_rejected(tmp_path, bad):
+    net = QNetwork((3, 4, 1), rng=np.random.default_rng(0))
+    path = tmp_path / "nonfinite.ckpt"
+    save_checkpoint(net, "a", path)
+    lines = path.read_text().splitlines()
+    lines[3] = " ".join(lines[3].split()[:-1] + [bad])  # last bias of layer 0
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="nonfinite.ckpt: non-finite parameter"):
+        load_checkpoint(path)
+
+
+def test_loaded_layers_are_views_of_params(tmp_path):
+    net = QNetwork((3, 4, 2, 1), rng=np.random.default_rng(1))
+    path = tmp_path / "views.ckpt"
+    save_checkpoint(net, "a", path)
+    loaded, _ = load_checkpoint(path)
+    np.testing.assert_array_equal(net.params, loaded.params)
+    for p in loaded.parameters():
+        assert np.shares_memory(p, loaded.params)
+    loaded.biases[-1][...] = 5.0
+    assert loaded.params[-1] == 5.0

@@ -1,5 +1,6 @@
 """Command-line interface smoke tests."""
 
+import numpy as np
 import pytest
 
 from dispatchsim.cli import main
@@ -126,6 +127,35 @@ def test_truncated_checkpoint_exits_2(cfg_file, tmp_path, capsys):
                "--checkpoint-dir", str(out_dir)])
     assert rc == 2
     assert "truncated checkpoint" in capsys.readouterr().err
+
+
+def test_non_finite_checkpoint_exits_2(cfg_file, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_file), "--out-dir", str(out_dir)]) == 0
+    ckpt = out_dir / "dqn_free_vehicle.ckpt"
+    lines = ckpt.read_text().splitlines()
+    lines[2] = " ".join(["nan"] + lines[2].split()[1:])  # first weight of layer 0
+    ckpt.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    cfg_file.write_text(cfg_file.read_text().replace("policies=fifo,nn", "policies=dqn"))
+    rc = main(["evaluate", "--config", str(cfg_file), "--out-dir", str(out_dir),
+               "--checkpoint-dir", str(out_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "dqn_free_vehicle.ckpt" in err and "non-finite" in err
+
+
+def test_diverging_training_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text(
+        "seed=19\ntrain_daily_calls=300\ntrain_days=3\nscenarios=hard\n"
+        "learning_starts=8\nbatch_size=4\nbuffer_capacity=64\nupdate_steps=16\n"
+        "learning_rate=1e30\n"
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")])
+    assert rc == 2
+    assert "error: non-finite activation" in capsys.readouterr().err
 
 
 def _records_config(cfg_file, records_path):

@@ -230,3 +230,29 @@ def test_baseline_per_day_csv_digest_is_pinned(policy, tmp_path):
     run_evaluation(cfg, policy_names=[policy], out_dir=str(tmp_path))
     data = (tmp_path / "per_day.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == BASELINE_DIGESTS[policy]
+
+
+# SHA-256 of the run_training outputs for one small fixed run.  Unlike the
+# baseline digests above these bytes pass through the q-networks, so they
+# also depend on the numpy build and its BLAS; they pin that refactors of
+# qnet.py and agent.py leave training byte-identical on a given machine.
+TRAINING_DIGESTS = {
+    "dqn_free_vehicle.ckpt": "9788970dbb43f329082d14de4c44c255f0a76f8e60a48ed184e818562fde1ffc",
+    "dqn_new_call.ckpt": "743de82c1910f9c308b5700f819b2c7f9849bb36ef766f92312b3cd9130cdd8f",
+    "learning_curves.csv": "0b86e33c5a0138bc3f508efbe9c1214af55b1abb161d26d46f4cf983b39d794d",
+}
+
+
+def test_training_outputs_digest_is_pinned(tmp_path):
+    cfg = small_cfg(
+        train_daily_calls=60, train_days=2, update_steps=8, scenarios="easy,hard"
+    )
+    policy, _, _ = run_training(cfg, out_dir=str(tmp_path))
+    for agent in (policy.new_call_agent, policy.free_vehicle_agent):
+        # the run must take gradient steps and sync each target at least once
+        assert agent.gradient_steps >= agent.cfg.update_steps
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in TRAINING_DIGESTS
+    }
+    assert digests == TRAINING_DIGESTS

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispatchsim.qnet import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_EPS,
     QNetwork,
     smooth_l1,
@@ -216,6 +218,50 @@ def test_clone_and_copy_from():
     np.testing.assert_array_equal(net.weights[0], twin.weights[0])
     with pytest.raises(ValueError):
         twin.copy_from(QNetwork((3, 6, 1)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_step_matches_a_per_array_loop_bit_for_bit(dtype):
+    net = QNetwork((4, 6, 3, 1), rng=np.random.default_rng(12), dtype=dtype)
+    params = [p.copy() for p in net.parameters()]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    rng = np.random.default_rng(13)
+    for t in range(1, 4):
+        grads = [rng.normal(size=p.shape).astype(dtype) for p in params]
+        net.adam_step(grads, lr=0.01)
+        for g, p, mi, vi in zip(grads, params, m, v):
+            mi *= ADAM_BETA1
+            mi += (1 - ADAM_BETA1) * g
+            vi *= ADAM_BETA2
+            vi += (1 - ADAM_BETA2) * g * g
+            m_hat = mi / (1 - ADAM_BETA1**t)
+            v_hat = vi / (1 - ADAM_BETA2**t)
+            p -= (0.01 * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(dtype)
+        for got, want in zip(net.parameters(), params):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+def test_layers_are_views_of_one_parameter_vector():
+    net = QNetwork((3, 4, 1), rng=np.random.default_rng(14))
+    assert net.params.size == sum(p.size for p in net.parameters())
+    assert net.adam_m.shape == net.adam_v.shape == net.params.shape
+    x = np.ones((1, 3), dtype=np.float32)
+    before = net.forward(x)
+    net.weights[0][...] = 0.0
+    net.biases[0][...] = 1.0
+    net.weights[1][...] = 2.0
+    assert net.params[:12].tolist() == [0.0] * 12
+    assert net.forward(x)[0] == 8.0 != before[0]
+
+
+def test_layers_cannot_be_rebound():
+    net = QNetwork((3, 4, 1), rng=np.random.default_rng(15))
+    with pytest.raises(TypeError):
+        net.weights[0] = np.zeros((3, 4), dtype=np.float32)
+    with pytest.raises(TypeError):
+        net.biases[0] = np.zeros(4, dtype=np.float32)
 
 
 @settings(max_examples=50)
