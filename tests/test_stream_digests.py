@@ -4,6 +4,8 @@ Every digest is the SHA-256 of one line per call (or vehicle), with each
 float written by `float.hex`, so any change in draw order, draw count or
 arithmetic moves it.  The values were computed with per-call scalar draws;
 block draws that consume each stream in the same order must reproduce them.
+The outcome digests pin what a simulated day writes into each call: its
+status, vehicle, event times and status history.
 """
 
 import hashlib
@@ -20,9 +22,10 @@ from dispatchsim.demand import (
     flat_hourly_rates,
     load_trip_records,
 )
-from dispatchsim.engine import build_fleet
+from dispatchsim.engine import build_fleet, run_day
 from dispatchsim.geometry import BoundingBox, Coordinate
 from dispatchsim.harness import build_calls
+from dispatchsim.policies import make_baseline
 
 CFG = parse_lines(["tolerance_shape=1.5", "tolerance_scale=3.0"])
 
@@ -165,3 +168,71 @@ FLEET_DIGESTS = {
 @pytest.mark.parametrize("case", list(FLEET_DIGESTS), ids=lambda f: f.__name__)
 def test_build_fleet_digest_is_pinned(case):
     assert fleet_digest(case()) == FLEET_DIGESTS[case]
+
+
+# -- what a simulated day does to each call -------------------------------------
+
+
+def _opt(x) -> str:
+    return "-" if x is None else _h(x)
+
+
+def outcomes_digest(calls, metrics) -> str:
+    lines = [
+        ",".join(
+            [
+                str(c.id),
+                c.status.value,
+                "-" if c.assigned_vehicle is None else str(c.assigned_vehicle),
+                *map(_opt, (c.assigned_at, c.pickup_time, c.completion_time, c.canceled_at)),
+                "/".join(s.value for s in c.status_history),
+            ]
+        )
+        for c in calls
+    ]
+    lines.append(
+        ",".join(
+            [
+                str(metrics.calls_created),
+                str(metrics.calls_served),
+                str(metrics.calls_canceled),
+                str(metrics.pending),
+                _h(metrics.sum_delay),
+                _h(metrics.sum_service_time),
+                str(metrics.events_processed),
+            ]
+        )
+    )
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def outcome_day(policy_name):
+    """About 3,000 calls on 30 vehicles: drivers reject, customers give up."""
+    source = DemandSource(mode="synthetic", hourly_rates=flat_hourly_rates(125.0))
+    calls = build_calls(
+        source, CFG, 4, 5000, np.random.default_rng(701), np.random.default_rng(702)
+    )
+    fleet = build_fleet(
+        30, StochasticConfig(), np.random.default_rng(703), np.random.default_rng(704)
+    )
+    policy = make_baseline(policy_name)
+    outcomes = []
+    policy.on_proposal_outcome = lambda env, kind, outcome, eta, drive: outcomes.append(outcome)
+    metrics = run_day(
+        fleet, calls, policy, policy, speed=0.05, driver_rng=np.random.default_rng(705)
+    )
+    assert 2800 < len(calls) < 3200
+    assert metrics.calls_served > 1000 and metrics.calls_canceled > 500
+    assert len(set(outcomes)) == 3  # accepted, driver- and customer-rejected proposals
+    return outcomes_digest(calls, metrics)
+
+
+OUTCOME_DIGESTS = {
+    "nn": "0788f2cb7a20ad1a4080c954c0ecc341731882c85cbe4eb1491cc3617e47d2bc",
+    "fifo": "5e03e5a3d32c559acba5252153c8389d7c2617fae5ba330d182849eebba85abc",
+}
+
+
+@pytest.mark.parametrize("policy_name", list(OUTCOME_DIGESTS))
+def test_day_outcome_digest_is_pinned(policy_name):
+    assert outcome_day(policy_name) == OUTCOME_DIGESTS[policy_name]
