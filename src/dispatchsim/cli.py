@@ -13,6 +13,7 @@ from .harness import (
     emit_report,
     make_policy,
     recompute_report_from_per_day_csv,
+    report_csv_lines,
     report_text_table,
     run_evaluation,
     run_training,
@@ -133,16 +134,8 @@ def _dispatch(args) -> int:
             emit_report(report, args.output, fmt=args.format)
             print(f"report written to {args.output}")
         else:
-            lines = (
-                report_text_table(report)
-                if args.format == "text-table"
-                else None
-            )
-            if lines is None:
-                from .harness import report_csv_lines
-
-                lines = report_csv_lines(report)
-            print("\n".join(lines))
+            text = args.format == "text-table"
+            print("\n".join(report_text_table(report) if text else report_csv_lines(report)))
         return 0
 
     return 2

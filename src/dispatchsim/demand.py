@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -153,10 +153,10 @@ def sample_tolerance(cfg: StochasticConfig, rng: np.random.Generator) -> float:
     return max(rng.gamma(cfg.tolerance_shape, cfg.tolerance_scale), MIN_TOLERANCE)
 
 
-def sample_tolerances(cfg: StochasticConfig, rng: np.random.Generator, n: int) -> List[float]:
+def sample_tolerances(cfg: StochasticConfig, rng: np.random.Generator, n: int) -> np.ndarray:
     """`n` waiting tolerances in one draw: the values of `n` `sample_tolerance` calls."""
     draws = rng.gamma(cfg.tolerance_shape, cfg.tolerance_scale, size=n)
-    return np.maximum(draws, MIN_TOLERANCE).tolist()
+    return np.maximum(draws, MIN_TOLERANCE)
 
 
 def sample_rejection_prob(cfg: StochasticConfig, rng: np.random.Generator) -> float:
@@ -164,9 +164,7 @@ def sample_rejection_prob(cfg: StochasticConfig, rng: np.random.Generator) -> fl
     return float(rng.beta(cfg.reject_alpha, cfg.reject_beta))
 
 
-def _uniform_locations(
-    rng: np.random.Generator, box: BoundingBox, m: int
-) -> Tuple[List[Coordinate], List[Coordinate]]:
+def _uniform_locations(rng: np.random.Generator, box: BoundingBox, m: int) -> np.ndarray:
     """Origins and destinations of `m` calls, uniform over `box`.
 
     One (m, 4) block whose row i is origin x, origin y, destination x and
@@ -175,8 +173,7 @@ def _uniform_locations(
     """
     low = [box.x_min, box.y_min, box.x_min, box.y_min]
     high = [box.x_max, box.y_max, box.x_max, box.y_max]
-    ox, oy, dx, dy = rng.uniform(low, high, size=(m, 4)).T.tolist()
-    return list(map(Coordinate, ox, oy)), list(map(Coordinate, dx, dy))
+    return rng.uniform(low, high, size=(m, 4))
 
 
 def _cluster_location(
@@ -192,34 +189,65 @@ def _cluster_location(
     return Coordinate(x, y)
 
 
-def _strictly_increasing(times: List[float]) -> List[float]:
-    times.sort()
-    eps = 1e-6
-    for i in range(1, len(times)):
-        if times[i] <= times[i - 1]:
-            times[i] = times[i - 1] + eps
-    return [t for t in times if t < MINUTES_PER_DAY]
+def _strictly_increasing(times: Sequence[float]) -> np.ndarray:
+    """`times` sorted, each one not above its predecessor moved 1e-6 after it, cut to the day."""
+    times = np.sort(np.asarray(times, dtype=float))
+    if not (times[1:] > times[:-1]).all():
+        fixed = times.tolist()
+        eps = 1e-6
+        for i in range(1, len(fixed)):
+            if fixed[i] <= fixed[i - 1]:
+                fixed[i] = fixed[i - 1] + eps
+        times = np.array(fixed)
+    return times[times < MINUTES_PER_DAY]
 
 
 def _synthetic_arrivals(
     rates: np.ndarray, day_of_week: int, rng: np.random.Generator
 ) -> List[float]:
     """Nonhomogeneous Poisson arrivals over one day, by thinning."""
-    day_rates = rates[day_of_week * 24 : (day_of_week + 1) * 24]
-    lam_max = float(day_rates.max())
+    day_rates = rates[day_of_week * 24 : (day_of_week + 1) * 24].tolist()
+    lam_max = max(day_rates)
     if lam_max <= 0.0:
         return []
     per_min = lam_max / 60.0
+    scale = 1.0 / per_min
+    exponential, uniform = rng.exponential, rng.random
     times: List[float] = []
     t = 0.0
     while True:
-        t += rng.exponential(1.0 / per_min)
+        t += exponential(scale)
         if t >= MINUTES_PER_DAY:
             break
-        lam_t = day_rates[int(t // 60.0)]
-        if rng.random() * lam_max <= lam_t:
+        if uniform() * lam_max <= day_rates[int(t // 60.0)]:
             times.append(t)
     return times
+
+
+@dataclass(eq=False)
+class DayDemand:
+    """One day's calls as columns, in arrival order.
+
+    `times` is the (m,) array of arrival minutes, strictly increasing, and
+    `locations` the (m, 4) array whose row i is origin x, origin y,
+    destination x and destination y of call i.  `len()` is the call count;
+    iterating gives (arrival_minute, origin, destination) tuples.
+    """
+
+    times: np.ndarray
+    locations: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __iter__(self) -> Iterator[Tuple[float, Coordinate, Coordinate]]:
+        for t, (ox, oy, dx, dy) in zip(self.times.tolist(), self.locations.tolist()):
+            yield t, Coordinate(ox, oy), Coordinate(dx, dy)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DayDemand) and all(
+            map(np.array_equal, (self.times, self.locations), (other.times, other.locations))
+        )
 
 
 def generate_daily_calls(
@@ -227,8 +255,8 @@ def generate_daily_calls(
     day_of_week: int,
     daily_cap: int,
     rng: np.random.Generator,
-) -> List[Tuple[float, Coordinate, Coordinate]]:
-    """Time-ordered (arrival_minute, origin, destination) tuples for one day.
+) -> DayDemand:
+    """One day's time-ordered calls: arrival minutes, origins and destinations.
 
     Records mode resamples same-day-of-week rows with replacement and
     +/-15 min arrival jitter; synthetic mode thins a Poisson stream against
@@ -262,23 +290,21 @@ def generate_daily_calls(
                 entries.append((t, r.origin, r.destination))
         entries.sort(key=lambda e: e[0])
         times = _strictly_increasing([e[0] for e in entries])
-        return [(t, e[1], e[2]) for t, e in zip(times, entries)]
+        rows = [(*e[1], *e[2]) for e in entries[: len(times)]]
+        return DayDemand(times, np.array(rows, dtype=float).reshape(-1, 4))
 
     times = _strictly_increasing(_synthetic_arrivals(source.hourly_rates, day_of_week, rng))
     times = times[:daily_cap]
     if not source.clusters:
-        origins, destinations = _uniform_locations(rng, source.box, len(times))
-        return list(zip(times, origins, destinations))
+        return DayDemand(times, _uniform_locations(rng, source.box, len(times)))
     weights = np.array([c.weight for c in source.clusters], dtype=float)
     p = weights / weights.sum()
-    return [
-        (
-            t,
-            _cluster_location(rng, source.clusters, p, source.box),
-            _cluster_location(rng, source.clusters, p, source.box),
-        )
-        for t in times
+    rows = [
+        (*_cluster_location(rng, source.clusters, p, source.box),
+         *_cluster_location(rng, source.clusters, p, source.box))
+        for _ in range(len(times))
     ]
+    return DayDemand(times, np.array(rows, dtype=float).reshape(-1, 4))
 
 
 def flat_hourly_rates(rate_per_hour: float) -> np.ndarray:

@@ -13,15 +13,16 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import events as ev
 from .demand import StochasticConfig, sample_rejection_prob
-from .entities import Call, CallPool, CallStatus, FleetState, Vehicle
+from .entities import ASSIGNED, CANCELED, COMPLETED, PICKED_UP, WAITING
+from .entities import Call, CallPool, CallTable, FleetState, Vehicle
 from .events import EventQueue
-from .geometry import BoundingBox, manhattan_distance, travel_time
+from .geometry import BoundingBox, travel_time
 
 REPOSITION_HOLD_MIN = 5.0
 DEMAND_WINDOW_MIN = 15.0
@@ -83,14 +84,24 @@ class Environment:
 
         self.clock = 0.0
         self.queue = EventQueue()
-        self.calls: dict[int, Call] = {}
+        self.calls = CallTable(0)
         self.pool = CallPool()  # waiting calls, in id order
         self.recent_arrivals: deque = deque()
-        self.announced: set = set()  # call ids whose arrival epoch has run
         self.metrics = DayMetrics()
 
         self.new_call_policy = None
         self.free_vehicle_policy = None
+
+    @property
+    def calls(self) -> CallTable:
+        """The day's calls, indexed by id; a list of calls or an id -> call mapping is adopted."""
+        return self._calls
+
+    @calls.setter
+    def calls(self, calls) -> None:
+        if not isinstance(calls, CallTable):
+            calls = CallTable.adopt(list(calls.values() if hasattr(calls, "values") else calls))
+        self._calls = calls
 
     @property
     def pool(self) -> CallPool:
@@ -120,21 +131,23 @@ class Environment:
         self, vehicle: Vehicle, call: Call
     ) -> Tuple[ProposalOutcome, float, float]:
         """Run the dual-acceptance protocol; returns (outcome, eta, drive)."""
-        eta = travel_time(manhattan_distance(vehicle.location, call.origin), self.speed)
-        drive = travel_time(
-            manhattan_distance(call.origin, call.destination), self.speed
-        )
+        table, row = call.table, call.row
+        ox, oy = table.origin_x[row], table.origin_y[row]
+        dx, dy = table.dest_x[row], table.dest_y[row]
+        vx, vy = vehicle.location  # the L1 distances below are `manhattan_distance`'s
+        eta = travel_time(abs(vx - ox) + abs(vy - oy), self.speed)
+        drive = travel_time(abs(ox - dx) + abs(oy - dy), self.speed)
         if self.driver_rng.random() < vehicle.reject_prob:
             return ProposalOutcome.DRIVER_REJECTED, eta, drive
-        if self.clock + eta - call.created_at > call.max_wait:
+        if self.clock + eta - table.created_at[row] > table.max_wait[row]:
             return ProposalOutcome.CUSTOMER_REJECTED, eta, drive
         # accepted: commit the assignment and schedule the pickup leg
         self.pool.pop(call.id, None)
-        call.set_status(CallStatus.ASSIGNED)
-        call.assigned_vehicle = vehicle.id
-        call.assigned_at = self.clock
+        table.set_status(row, ASSIGNED)
+        table.assigned_vehicle[row] = vehicle.id
+        table.assigned_at[row] = self.clock
         vehicle.busy = True
-        vehicle.move_destination = call.destination
+        vehicle.move_destination = (dx, dy)
         vehicle.free_at = self.clock + eta + drive
         self.queue.push(
             self.clock + eta, ev.ARRIVAL_AT_ORIGIN, vehicle.id, call.id, self.clock
@@ -155,8 +168,7 @@ class Environment:
 
     def handle_new_call(self, call: Call) -> None:
         self.metrics.calls_created += 1
-        self.announced.add(call.id)
-        self.recent_arrivals.append(call.created_at)
+        self.recent_arrivals.append(call.table.created_at[call.row])
         if not self.fleet:
             self.pool[call.id] = call
             return
@@ -187,32 +199,34 @@ class Environment:
         if outcome is not ProposalOutcome.ACCEPTED:
             self._after_rejection(vehicle, call)
 
-    def fire_cancellation(self, call: Call) -> None:
-        if call.status is not CallStatus.WAITING:
+    def fire_cancellation(self, cid: int) -> None:
+        calls = self.calls
+        if calls.status[cid] != WAITING:
             return  # disarmed by a successful assignment
-        call.set_status(CallStatus.CANCELED)
-        call.canceled_at = self.clock
-        self.pool.pop(call.id, None)
+        calls.set_status(cid, CANCELED)
+        calls.canceled_at[cid] = self.clock
+        self.pool.pop(cid, None)
         self.metrics.calls_canceled += 1
 
-    def handle_arrival_at_origin(self, vehicle: Vehicle, call: Call) -> None:
-        call.set_status(CallStatus.PICKED_UP)
-        call.pickup_time = self.clock
+    def handle_arrival_at_origin(self, vehicle: Vehicle, cid: int) -> None:
+        calls = self.calls
+        calls.set_status(cid, PICKED_UP)
+        calls.pickup_time[cid] = self.clock
         self.metrics.calls_served += 1
-        self.metrics.sum_delay += self.clock - call.created_at
-        vehicle.location = call.origin
-        drive = travel_time(
-            manhattan_distance(call.origin, call.destination), self.speed
-        )
+        self.metrics.sum_delay += self.clock - calls.created_at[cid]
+        ox, oy = calls.origin_x[cid], calls.origin_y[cid]
+        vehicle.location = (ox, oy)
+        drive = travel_time(abs(ox - calls.dest_x[cid]) + abs(oy - calls.dest_y[cid]), self.speed)
         self.queue.push(
-            self.clock + drive, ev.ARRIVAL_AT_DESTINATION, vehicle.id, call.id, self.clock
+            self.clock + drive, ev.ARRIVAL_AT_DESTINATION, vehicle.id, cid, self.clock
         )
 
-    def handle_arrival_at_destination(self, vehicle: Vehicle, call: Call) -> None:
-        call.set_status(CallStatus.COMPLETED)
-        call.completion_time = self.clock
-        self.metrics.sum_service_time += self.clock - call.pickup_time
-        vehicle.set_idle(call.destination)
+    def handle_arrival_at_destination(self, vehicle: Vehicle, cid: int) -> None:
+        calls = self.calls
+        calls.set_status(cid, COMPLETED)
+        calls.completion_time[cid] = self.clock
+        self.metrics.sum_service_time += self.clock - calls.pickup_time[cid]
+        vehicle.set_idle((calls.dest_x[cid], calls.dest_y[cid]))
         self.queue.push(self.clock, ev.FREE_VEHICLE, vehicle.id, -1, self.clock)
 
     def handle_reposition_timeout(self, vehicle: Vehicle) -> None:
@@ -223,6 +237,7 @@ class Environment:
 
     def run(self) -> DayMetrics:
         pop = self.queue.pop
+        view = self.calls.view
         while True:
             event = pop()
             if event is None:
@@ -240,39 +255,33 @@ class Environment:
                     f"queue={len(self.queue)}, pool={len(self.pool)}"
                 )
             if kind == ev.NEW_CALL:
-                self.handle_new_call(self.calls[id_a])
+                self.handle_new_call(view(id_a))
             elif kind == ev.FREE_VEHICLE:
                 self.handle_free_vehicle(self.fleet[id_a])
             elif kind == ev.CANCELLATION:
-                self.fire_cancellation(self.calls[id_a])
+                self.fire_cancellation(id_a)
             elif kind == ev.ARRIVAL_AT_ORIGIN:
-                self.handle_arrival_at_origin(self.fleet[id_a], self.calls[id_b])
+                self.handle_arrival_at_origin(self.fleet[id_a], id_b)
             elif kind == ev.ARRIVAL_AT_DESTINATION:
-                self.handle_arrival_at_destination(self.fleet[id_a], self.calls[id_b])
+                self.handle_arrival_at_destination(self.fleet[id_a], id_b)
             elif kind == ev.REPOSITION_TIMEOUT:
                 self.handle_reposition_timeout(self.fleet[id_a])
             if self.trace is not None:
                 self.trace.append(f"{time:.6f},{ev.KIND_NAMES[kind]},{id_a},{id_b}")
             if self.audit:
                 self._audit_state()
-        self.metrics.pending = sum(
-            1
-            for c in self.calls.values()
-            if c.status
-            in (CallStatus.WAITING, CallStatus.ASSIGNED, CallStatus.PICKED_UP)
-        )
+        # waiting, assigned and picked-up calls have the codes below COMPLETED
+        self.metrics.pending = int(np.count_nonzero(np.asarray(self.calls.status) < COMPLETED))
         return self.metrics
 
     def _audit_state(self) -> None:
-        waiting = {
-            c.id
-            for c in self.calls.values()
-            if c.status is CallStatus.WAITING and c.id in self.announced
-        }
-        if waiting != set(self.pool):
+        # New-call epochs run in id order, so the announced calls are the
+        # first `calls_created` rows; the waiting ones among them are the pool.
+        announced = np.asarray(self.calls.status)[: self.metrics.calls_created]
+        waiting = np.flatnonzero(announced == WAITING).tolist()
+        if waiting != self.pool.ids:
             raise AssertionError(
-                f"pool desync at t={self.clock}: pool={sorted(self.pool)} "
-                f"waiting={sorted(waiting)}"
+                f"pool desync at t={self.clock}: pool={self.pool.ids} waiting={waiting}"
             )
 
 
@@ -303,7 +312,7 @@ def build_fleet(
 
 def run_day(
     fleet: List[Vehicle],
-    calls: List[Call],
+    calls: Union[CallTable, Sequence[Call]],
     new_call_policy,
     free_vehicle_policy,
     speed: float,
@@ -313,9 +322,10 @@ def run_day(
     audit: bool = False,
     trace: Optional[list] = None,
 ) -> DayMetrics:
-    """Simulate one day: drain all events generated by the given call list.
+    """Simulate one day: drain all events generated by the given calls.
 
-    `calls` must be time-ordered with strictly increasing ids starting at 0.
+    `calls` is a `CallTable` whose rows are in arrival order, or calls with
+    ids 0..n-1 in arrival order, which the day adopts into one table.
     Cancellation timers are armed up-front so they are always scheduled by
     the time the matching new-call epoch runs.
     """
@@ -330,10 +340,15 @@ def run_day(
     )
     env.new_call_policy = new_call_policy
     env.free_vehicle_policy = free_vehicle_policy
-    for call in calls:
-        env.calls[call.id] = call
-        env.queue.push(call.created_at, ev.NEW_CALL, call.id)
-        env.queue.push(call.created_at + call.max_wait, ev.CANCELLATION, call.id)
+    env.calls = calls
+    arrivals = np.asarray(env.calls.created_at)
+    if (arrivals[1:] < arrivals[:-1]).any():  # the audit relies on it
+        raise ValueError("calls must be in arrival order")
+    push = env.queue.push
+    waits = np.asarray(env.calls.max_wait).tolist()
+    for cid, (t, wait) in enumerate(zip(arrivals.tolist(), waits)):
+        push(t, ev.NEW_CALL, cid)
+        push(t + wait, ev.CANCELLATION, cid)
     new_call_policy.on_day_start(env)
     if free_vehicle_policy is not new_call_policy:
         free_vehicle_policy.on_day_start(env)

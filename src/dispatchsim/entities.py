@@ -1,11 +1,13 @@
-"""Domain entities: ride requests and their waiting pool, fleet state and vehicles, trip records."""
+"""Domain entities: call state and calls, the waiting pool, fleet state and vehicles, trip records."""
 
 from __future__ import annotations
 
 import enum
+import math
+from array import array
 from bisect import bisect_left
 from collections.abc import MutableMapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -21,7 +23,7 @@ class CallStatus(enum.Enum):
     CANCELED = "canceled"
 
     # Enum.__hash__ is Python code; members are singletons, so identity
-    # hashing is equivalent and keeps set_status free of Python-level calls.
+    # hashing is equivalent and keeps status lookups free of Python-level calls.
     __hash__ = object.__hash__
 
 
@@ -36,36 +38,193 @@ ALLOWED_TRANSITIONS = {
 }
 
 
-@dataclass(slots=True)
+# A status's code is its index in STATUSES: the int8 values of call status
+# columns.  EDGES[a, b] is 1 when code a -> code b is an allowed edge.
+STATUSES = tuple(CallStatus)
+WAITING, ASSIGNED, PICKED_UP, COMPLETED, CANCELED = range(len(STATUSES))
+STATUS_CODES = {status: code for code, status in enumerate(STATUSES)}
+EDGES = np.array([[b in ALLOWED_TRANSITIONS[a] for b in STATUSES] for a in STATUSES], np.int8)
+_EDGE = EDGES.tobytes()  # flat and row-major; indexing it gives Python ints
+
+# The float columns of a `CallTable`, in row order; the first five are the
+# `CallPool` columns.
+CALL_FLOATS = (
+    "origin_x", "origin_y", "dest_x", "dest_y", "created_at", "max_wait",
+    "assigned_at", "pickup_time", "completion_time", "canceled_at",
+)
+
+_new_tuple = tuple.__new__  # Coordinate(x, y) without its Python-level constructor
+
+
+class CallTable:
+    """Per-call state as columns, one row per call; calls are views onto rows.
+
+    `floats` holds the `CALL_FLOATS` columns as rows, nan for a time not yet
+    reached.  `columns` holds a memoryview onto each, also kept as the
+    attribute of the column's name; scalar access through a memoryview costs
+    about half of numpy indexing and gives Python values.  `status` (int8
+    codes of `STATUSES`) and `assigned_vehicle` (-1 for none) are memoryviews
+    too; `np.asarray` gives the array under any of them.  Row r is call
+    `first_id + r`.  Every status a row takes is appended to one log, the
+    `log_rows` and `log_codes` arrays; a row's history is its log entries.
+    """
+
+    def __init__(self, n: int, first_id: int = 0):
+        self.first_id = first_id
+        self.floats = np.full((len(CALL_FLOATS), n), np.nan)
+        self.columns = tuple(map(memoryview, self.floats))
+        (self.origin_x, self.origin_y, self.dest_x, self.dest_y, self.created_at, self.max_wait,
+         self.assigned_at, self.pickup_time, self.completion_time, self.canceled_at) = self.columns
+        self.status = memoryview(np.zeros(n, dtype=np.int8))  # all waiting
+        self.assigned_vehicle = memoryview(np.full(n, -1, dtype=np.int64))
+        self.log_rows = array("q", np.arange(n, dtype=np.int64).tobytes())
+        self.log_codes = array("b", bytes(n))
+        self._histories: Optional[List[list]] = None  # made by the first `history`
+        self._read = 0  # log entries already in `_histories`
+
+    @classmethod
+    def adopt(cls, calls: Sequence["Call"]) -> "CallTable":
+        """One table holding `calls`' current state; each call is rebound to its row."""
+        table = cls(len(calls))
+        del table.log_rows[:], table.log_codes[:]
+        for i, c in enumerate(calls):
+            if c.id != i:  # the engine indexes calls by id
+                raise ValueError(f"calls[{i}] has id {c.id}; call ids must be 0..n-1 in order")
+            table.floats[:, i] = c.table.floats[:, c.row]
+            table.status[i] = c.table.status[c.row]
+            table.assigned_vehicle[i] = c.table.assigned_vehicle[c.row]
+            for status in c.status_history:
+                table.log_rows.append(i)
+                table.log_codes.append(STATUS_CODES[status])
+            c.table, c.row = table, i
+        return table
+
+    def __len__(self) -> int:
+        return len(self.status)
+
+    def view(self, row: int) -> "Call":
+        c = _new_call(Call)
+        c.id, c.table, c.row = self.first_id + row, self, row
+        return c
+
+    def __getitem__(self, row: int) -> "Call":
+        return self.view(range(len(self.status))[row])
+
+    def __iter__(self):
+        return map(self.view, range(len(self.status)))
+
+    values = __iter__
+
+    def set_status(self, row: int, code: int) -> None:
+        old = self.status[row]
+        if not _EDGE[old * len(STATUSES) + code]:
+            raise ValueError(
+                f"call {self.first_id + row}: illegal status transition "
+                f"{STATUSES[old].value} -> {STATUSES[code].value}"
+            )
+        self.status[row] = code
+        self.log_rows.append(row)
+        self.log_codes.append(code)
+
+    def history(self, row: int) -> list:
+        """Row `row`'s statuses in order: a kept list, so an edit to it is seen by the next read."""
+        if self._histories is None:
+            self._histories = [[] for _ in range(len(self.status))]
+        rows, codes = self.log_rows, self.log_codes
+        for i in range(self._read, len(rows)):  # log entries since the last read
+            self._histories[rows[i]].append(STATUSES[codes[i]])
+        self._read = len(rows)
+        return self._histories[row]
+
+
+def _column(name: str, optional: bool = False) -> property:
+    """A call attribute kept in float column `name`; nan reads as None when `optional`."""
+    col = CALL_FLOATS.index(name)
+
+    def get(c):
+        value = c.table.columns[col][c.row]
+        return None if optional and value != value else value
+
+    def put(c, value):
+        c.table.columns[col][c.row] = math.nan if value is None else value
+
+    return property(get, put)
+
+
+def _place(name: str) -> property:
+    """A call coordinate kept in float column `name` (x) and the next one (y)."""
+    col = CALL_FLOATS.index(name)
+
+    def get(c):
+        columns, row = c.table.columns, c.row
+        return _new_tuple(Coordinate, (columns[col][row], columns[col + 1][row]))
+
+    def put(c, at):
+        columns, row = c.table.columns, c.row
+        columns[col][row], columns[col + 1][row] = at
+
+    return property(get, put)
+
+
 class Call:
-    """A ride request with its sampled waiting tolerance and lifecycle state."""
+    """A ride request with its sampled waiting tolerance and lifecycle state.
 
-    id: int
-    created_at: float
-    origin: Coordinate
-    destination: Coordinate
-    max_wait: float
-    status: CallStatus = CallStatus.WAITING
-    assigned_vehicle: Optional[int] = None
-    assigned_at: Optional[float] = None
-    pickup_time: Optional[float] = None
-    completion_time: Optional[float] = None
-    canceled_at: Optional[float] = None
-    status_history: list = field(default_factory=list)
+    A view onto row `row` of the `CallTable` `table`.  A call made on its own
+    owns a one-row table until a day adopts it; `CallTable.view` makes calls
+    over an existing table instead.
+    """
 
-    def __post_init__(self):
-        if self.max_wait <= 0:
-            raise ValueError(f"call {self.id}: max_wait must be positive")
-        self.status_history.append(self.status)
+    __slots__ = ("id", "table", "row")
+
+    origin, destination = _place("origin_x"), _place("dest_x")
+    created_at, max_wait = _column("created_at"), _column("max_wait")
+    assigned_at = _column("assigned_at", optional=True)
+    pickup_time = _column("pickup_time", optional=True)
+    completion_time = _column("completion_time", optional=True)
+    canceled_at = _column("canceled_at", optional=True)
+
+    def __init__(self, id: int, created_at: float, origin: Coordinate, destination: Coordinate,
+                 max_wait: float, status: CallStatus = CallStatus.WAITING,
+                 assigned_vehicle: Optional[int] = None, assigned_at: Optional[float] = None,
+                 pickup_time: Optional[float] = None, completion_time: Optional[float] = None,
+                 canceled_at: Optional[float] = None):
+        if max_wait <= 0:
+            raise ValueError(f"call {id}: max_wait must be positive")
+        self.id, self.table, self.row = id, CallTable(1, first_id=id), 0
+        self.created_at, self.origin, self.destination, self.max_wait = (
+            created_at, origin, destination, max_wait)
+        self.assigned_vehicle, self.assigned_at, self.pickup_time = (
+            assigned_vehicle, assigned_at, pickup_time)
+        self.completion_time, self.canceled_at = completion_time, canceled_at
+        self.status = status
+        self.table.log_codes[0] = STATUS_CODES[status]
+
+    @property
+    def status(self) -> CallStatus:
+        return STATUSES[self.table.status[self.row]]
+
+    @status.setter
+    def status(self, value: CallStatus) -> None:
+        self.table.status[self.row] = STATUS_CODES[value]
+
+    @property
+    def assigned_vehicle(self) -> Optional[int]:
+        vid = self.table.assigned_vehicle[self.row]
+        return None if vid < 0 else vid
+
+    @assigned_vehicle.setter
+    def assigned_vehicle(self, vid: Optional[int]) -> None:
+        self.table.assigned_vehicle[self.row] = -1 if vid is None else vid
+
+    @property
+    def status_history(self) -> list:
+        return self.table.history(self.row)
 
     def set_status(self, new: CallStatus) -> None:
-        if new not in ALLOWED_TRANSITIONS[self.status]:
-            raise ValueError(
-                f"call {self.id}: illegal status transition "
-                f"{self.status.value} -> {new.value}"
-            )
-        self.status = new
-        self.status_history.append(new)
+        self.table.set_status(self.row, STATUS_CODES[new])
+
+
+_new_call = Call.__new__
 
 
 _MISSING = object()
@@ -100,23 +259,11 @@ class CallPool(MutableMapping):
     def __len__(self) -> int:
         return len(self._ids)
 
-    def __contains__(self, cid) -> bool:
-        return cid in self._calls
-
     def __getitem__(self, cid) -> Call:
         return self._calls[cid]
 
     def __iter__(self):
         return iter(self._calls)
-
-    def keys(self):
-        return self._calls.keys()
-
-    def values(self):
-        return self._calls.values()
-
-    def items(self):
-        return self._calls.items()
 
     def __setitem__(self, cid, call: Call) -> None:
         calls, ids = self._calls, self._ids
@@ -136,7 +283,7 @@ class CallPool(MutableMapping):
                 calls[cid] = call
                 calls = self._calls = {k: calls[k] for k in ids}
         calls[cid] = call
-        self._block[:, slot] = (*call.origin, *call.destination, call.created_at)
+        self._block[:, slot] = call.table.floats[:5, call.row]
 
     def pop(self, cid, default=_MISSING):
         call = self._calls.pop(cid, _MISSING)
@@ -213,7 +360,7 @@ def _point(col: int) -> property:
     """A vehicle coordinate kept in float columns `col` and `col + 1` of its row."""
 
     def get(v):
-        return Coordinate(v._floats[col], v._floats[col + 1])
+        return _new_tuple(Coordinate, (v._floats[col], v._floats[col + 1]))
 
     def put(v, at):
         v._floats[col], v._floats[col + 1] = at

@@ -20,7 +20,7 @@ from .demand import (
     sample_tolerances,
 )
 from .engine import DayMetrics, build_fleet, run_day
-from .entities import Call
+from .entities import CallTable
 from .policies import DispatchPolicy, make_baseline
 from .qnet import load_checkpoint
 from .rng import substream
@@ -58,19 +58,19 @@ def build_calls(
     daily_calls: int,
     demand_rng: np.random.Generator,
     tolerance_rng: np.random.Generator,
-) -> List[Call]:
-    """One day's calls, with ids 0..n-1 in arrival order.
+) -> CallTable:
+    """One day's calls, with ids 0..n-1 in arrival order, as one table.
 
     Draw order: everything `generate_daily_calls` takes from `demand_rng`
     first, then one tolerance per call, in id order, from `tolerance_rng`.
     So one generator may serve as both streams.
     """
-    prototypes = generate_daily_calls(source, day_of_week, daily_calls, demand_rng)
-    tolerances = sample_tolerances(cfg.stochastic, tolerance_rng, len(prototypes))
-    return [
-        Call(i, t, origin, dest, max_wait)
-        for i, ((t, origin, dest), max_wait) in enumerate(zip(prototypes, tolerances))
-    ]
+    demand = generate_daily_calls(source, day_of_week, daily_calls, demand_rng)
+    calls = CallTable(len(demand))
+    calls.floats[:4] = demand.locations.T
+    calls.floats[4] = demand.times
+    calls.floats[5] = sample_tolerances(cfg.stochastic, tolerance_rng, len(demand))
+    return calls
 
 
 def simulate_day(
@@ -211,6 +211,10 @@ def load_dqn_policy(cfg: ExperimentConfig, checkpoint_dir: str) -> DQNPolicy:
         net, name = load_checkpoint(path)
         if name != agent.name:
             raise ValueError(f"checkpoint {path} is for agent {name!r}, expected {agent.name!r}")
+        if net.dims[0] != agent.online.dims[0]:
+            raise ValueError(
+                f"checkpoint {path} takes {net.dims[0]} input features, expected {agent.online.dims[0]}"
+            )
         agent.load_network(net)
     policy.set_train_mode(False)
     return policy
@@ -362,20 +366,19 @@ def recompute_report_from_per_day_csv(path) -> List[ReportRow]:
         header = fh.readline().strip()
         if header != PER_DAY_HEADER:
             raise ValueError(f"{path}: unexpected per-day header")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
             parts = line.strip().split(",")
             if len(parts) != 10:
-                continue
-            m = DayMetrics(
-                policy=parts[1],
-                scenario=parts[2],
-                seed=int(parts[9]),
-                calls_created=int(parts[3]),
-                calls_served=int(parts[4]),
-                calls_canceled=int(parts[5]),
-            )
-            served = int(parts[4])
-            m.sum_delay = float(parts[6]) * served
-            m.sum_service_time = float(parts[8])
+                raise ValueError(f"{path}: line {lineno}: expected 10 fields, got {len(parts)}")
+            try:
+                created, served, canceled, seed = (int(parts[i]) for i in (3, 4, 5, 9))
+                avg_delay, service = float(parts[6]), float(parts[8])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            m = DayMetrics(parts[1], parts[2], seed, created, served, canceled)
+            m.sum_delay = avg_delay * served
+            m.sum_service_time = service
             metrics.append(m)
     return aggregate(metrics)

@@ -87,8 +87,10 @@ class DispatchPolicy:
 
 
 def _nearest_idle_vehicle(env, call: Call) -> Optional[int]:
-    state = env.fleet_state
-    idx = nearest_index_masked(state.x, state.y, state.idle, call.origin.x, call.origin.y)
+    state, table, row = env.fleet_state, call.table, call.row
+    idx = nearest_index_masked(
+        state.x, state.y, state.idle, table.origin_x[row], table.origin_y[row]
+    )
     return None if idx < 0 else idx
 
 
@@ -144,7 +146,7 @@ class RandomPolicy(DispatchPolicy):
         return int(self.rng.integers(len(env.fleet)))
 
     def choose_call(self, env, vehicle):
-        return random_choose(list(env.pool.keys()), self.rng)
+        return random_choose(env.pool.ids, self.rng)
 
 
 BASELINE_POLICIES = ("fifo", "lifo", "nn", "random")

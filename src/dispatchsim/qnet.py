@@ -46,7 +46,10 @@ class QNetwork:
         rng: Optional[np.random.Generator] = None,
         dtype=np.float32,
         leaky_slope: float = LEAKY_SLOPE,
+        *,
+        init: bool = True,
     ):
+        """`init=False` leaves every parameter 0 and draws nothing, for copies and loads."""
         if len(dims) < 2 or dims[-1] != 1:
             raise ValueError(f"dims must end in a scalar output, got {dims}")
         if not 0.0 <= leaky_slope <= 1.0:
@@ -55,7 +58,6 @@ class QNetwork:
         self.dims = tuple(int(d) for d in dims)
         self.dtype = np.dtype(dtype)
         self.leaky_slope = leaky_slope
-        rng = rng or np.random.default_rng()
         shapes = [
             shape
             for fan_in, fan_out in zip(self.dims[:-1], self.dims[1:])
@@ -70,9 +72,11 @@ class QNetwork:
         ]
         self.weights: Tuple[np.ndarray, ...] = tuple(views[0::2])
         self.biases: Tuple[np.ndarray, ...] = tuple(views[1::2])
-        for w in self.weights:
-            bound = np.sqrt(6.0 / sum(w.shape))
-            w[...] = rng.uniform(-bound, bound, size=w.shape).astype(self.dtype)
+        if init:  # Glorot-uniform weights, zero biases
+            rng = rng or np.random.default_rng()
+            for w in self.weights:
+                bound = np.sqrt(6.0 / sum(w.shape))
+                w[...] = rng.uniform(-bound, bound, size=w.shape).astype(self.dtype)
         self.adam_m = np.zeros_like(self.params)
         self.adam_v = np.zeros_like(self.params)
         self.adam_t = 0
@@ -163,7 +167,7 @@ class QNetwork:
         self.params[...] = other.params
 
     def clone(self) -> "QNetwork":
-        twin = QNetwork(self.dims, dtype=self.dtype, leaky_slope=self.leaky_slope)
+        twin = QNetwork(self.dims, dtype=self.dtype, leaky_slope=self.leaky_slope, init=False)
         twin.copy_from(self)
         return twin
 
@@ -204,7 +208,7 @@ def load_checkpoint(path) -> Tuple[QNetwork, str]:
         raise ValueError(f"{path}: bad checkpoint header {lines[0]!r}")
     agent_name = head[2]
     dims = tuple(int(t) for t in lines[1].split())
-    net = QNetwork(dims)
+    net = QNetwork(dims, init=False)
     expected = 2 + 2 * len(net.weights)
     if len(lines) < expected:
         raise ValueError(f"{path}: truncated checkpoint")

@@ -113,3 +113,11 @@ def test_loaded_layers_are_views_of_params(tmp_path):
         assert np.shares_memory(p, loaded.params)
     loaded.biases[-1][...] = 5.0
     assert loaded.params[-1] == 5.0
+
+
+def test_load_draws_no_weights(tmp_path, monkeypatch):
+    net = QNetwork((3, 4, 1), rng=np.random.default_rng(5))
+    save_checkpoint(net, "x", tmp_path / "a.ckpt")
+    monkeypatch.setattr(np.random, "default_rng", None)  # any draw would fail
+    loaded, _ = load_checkpoint(tmp_path / "a.ckpt")
+    assert loaded.params.tobytes() == net.params.tobytes()

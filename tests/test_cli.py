@@ -145,6 +145,22 @@ def test_non_finite_checkpoint_exits_2(cfg_file, tmp_path, capsys):
     assert "error:" in err and "dqn_free_vehicle.ckpt" in err and "non-finite" in err
 
 
+def test_checkpoint_of_the_wrong_input_width_exits_2(cfg_file, tmp_path, capsys):
+    from dispatchsim.qnet import QNetwork, save_checkpoint
+
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_file), "--out-dir", str(out_dir)]) == 0
+    ckpt = out_dir / "dqn_new_call.ckpt"
+    save_checkpoint(QNetwork((3, 4, 1), rng=np.random.default_rng(0)), "new_call", ckpt)
+    capsys.readouterr()
+    cfg_file.write_text(cfg_file.read_text().replace("policies=fifo,nn", "policies=dqn"))
+    rc = main(["evaluate", "--config", str(cfg_file), "--out-dir", str(out_dir),
+               "--checkpoint-dir", str(out_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "takes 3 input features, expected 15" in err
+
+
 def test_diverging_training_exits_2(tmp_path, capsys):
     cfg = tmp_path / "diverge.cfg"
     cfg.write_text(
@@ -190,3 +206,38 @@ def test_report_of_directory_exits_2(tmp_path, capsys):
     rc = main(["report", str(tmp_path)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture
+def per_day_csv(cfg_file, tmp_path, capsys):
+    out_dir = tmp_path / "ev"
+    assert main(["evaluate", "--config", str(cfg_file), "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    return out_dir / "per_day.csv"
+
+
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        (lambda row: row.rsplit(",", 1)[0], "line 3: expected 10 fields, got 9"),
+        (lambda row: ",".join("many" if i == 4 else f for i, f in enumerate(row.split(","))),
+         "line 3: invalid literal for int() with base 10: 'many'"),
+    ],
+    ids=["short_row", "non_numeric"],
+)
+def test_report_of_a_bad_row_names_the_line_and_exits_2(per_day_csv, capsys, mangle, message):
+    lines = per_day_csv.read_text().splitlines()
+    lines[2] = mangle(lines[2])
+    per_day_csv.write_text("\n".join(lines) + "\n")
+    rc = main(["report", str(per_day_csv)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(per_day_csv) in err and message in err
+
+
+def test_report_skips_blank_lines(per_day_csv, capsys):
+    main(["report", str(per_day_csv), "--format", "csv"])
+    expected = capsys.readouterr().out
+    per_day_csv.write_text(per_day_csv.read_text().replace("\n", "\n\n", 2))
+    assert main(["report", str(per_day_csv), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == expected

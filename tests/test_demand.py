@@ -183,20 +183,21 @@ def test_bad_cluster_is_rejected(clusters, message):
 def test_uniform_locations_match_scalar_draws():
     box = BoundingBox(-3.0, 0.5, 10.0, 12.0)
     g, ref = rng(9), rng(9)
-    origins, destinations = _uniform_locations(g, box, 3000)
+    block = _uniform_locations(g, box, 3000)
     expected = [
         Coordinate(ref.uniform(box.x_min, box.x_max), ref.uniform(box.y_min, box.y_max))
         for _ in range(6000)
     ]
-    assert [c for pair in zip(origins, destinations) for c in pair] == expected
+    assert [Coordinate(*row[i : i + 2]) for row in block.tolist() for i in (0, 2)] == expected
     assert g.bit_generator.state == ref.bit_generator.state
-    assert _uniform_locations(g, box, 0) == ([], [])
+    assert _uniform_locations(g, box, 0).shape == (0, 4)
 
 
 def test_block_tolerances_match_scalar_draws():
     cfg = StochasticConfig(tolerance_shape=0.7, tolerance_scale=2.5)
     g, ref = rng(12), rng(12)
-    assert sample_tolerances(cfg, g, 20_000) == [sample_tolerance(cfg, ref) for _ in range(20_000)]
+    draws = sample_tolerances(cfg, g, 20_000).tolist()
+    assert draws == [sample_tolerance(cfg, ref) for _ in range(20_000)]
     assert g.bit_generator.state == ref.bit_generator.state
 
 

@@ -11,7 +11,9 @@ from dispatchsim.engine import (
     run_day,
 )
 from dispatchsim.demand import StochasticConfig
-from dispatchsim.entities import Call, CallStatus, Vehicle
+from dispatchsim.config import parse_lines
+from dispatchsim.entities import Call, CallStatus, CallTable, Vehicle
+from dispatchsim.harness import build_calls, demand_source_from_config
 from dispatchsim.geometry import Coordinate
 from dispatchsim.policies import DispatchPolicy, NearestPolicy, RandomPolicy
 
@@ -301,3 +303,71 @@ def test_resource_demand_ratio_window():
     env.clock = 16.0  # window is (clock-15, clock]: drops the arrival at t=0
     assert env.demand_count() == 2
     assert env.resource_demand_ratio() == 0.5
+
+
+CALL_FIELDS = (
+    "id", "created_at", "origin", "destination", "max_wait", "status", "assigned_vehicle",
+    "assigned_at", "pickup_time", "completion_time", "canceled_at", "status_history",
+)
+
+
+def _fields(calls):
+    return [tuple(getattr(c, f) for f in CALL_FIELDS) for c in calls]
+
+
+@pytest.mark.parametrize("policy_cls", [NearestPolicy, RandomPolicy])
+def test_built_table_and_standalone_calls_run_the_same_day(policy_cls):
+    cfg = parse_lines(["seed=3", "daily_calls=400"])
+    rng = np.random.default_rng(31)
+    table = build_calls(demand_source_from_config(cfg, 400), cfg, 2, 400, rng, rng)
+    assert isinstance(table, CallTable) and len(table) == 400
+    standalone = [Call(c.id, c.created_at, c.origin, c.destination, c.max_wait) for c in table]
+    days = []
+    for calls in (table, standalone):
+        fleet = build_fleet(4, StochasticConfig(), np.random.default_rng(32), np.random.default_rng(33))
+        policy = policy_cls(np.random.default_rng(34)) if policy_cls is RandomPolicy else policy_cls()
+        days.append(simulate(fleet, calls, policy=policy, speed=0.05, seed=35))
+    assert days[0] == days[1]
+    assert days[0].calls_served > 0 and days[0].calls_canceled > 0
+    assert _fields(table) == _fields(standalone)
+
+
+def test_history_edit_after_a_day_is_seen_by_the_next_read():
+    calls = [call(0, 0.0, 0.1, 0.0, 0.2, 0.0, wait=100.0), call(1, 1.0, 0.5, 0.5, 0.6, 0.6, wait=1.0)]
+    simulate([vehicle(0, 0.0, 0.0)], calls, policy=FixedVehiclePolicy(0))
+    assert calls[0].status_history[-1] is CallStatus.COMPLETED
+    calls[0].status_history.insert(1, CallStatus.COMPLETED)
+    assert calls[0].status_history[1] is CallStatus.COMPLETED
+    assert calls[0].table.history(0)[1] is CallStatus.COMPLETED
+
+
+class PoolThief(NearestPolicy):
+    """Takes the lowest-id waiting call out of the pool without the engine knowing."""
+
+    def choose_vehicle(self, env, c):
+        if len(env.pool) == 2:
+            env.pool.pop(env.pool.ids[0])
+        return None
+
+
+def test_audit_catches_a_pool_desync_made_behind_the_engines_back():
+    calls = [call(i, float(i), 0.1, 0.1, 0.9, 0.9, wait=50.0) for i in range(4)]
+    with pytest.raises(AssertionError, match=r"pool desync at t=2.0: pool=\[1, 2\] waiting=\[0, 1, 2\]"):
+        simulate([vehicle(0, 0.5, 0.5)], calls, policy=PoolThief())
+    calls = [call(i, float(i), 0.1, 0.1, 0.9, 0.9, wait=50.0) for i in range(4)]
+    simulate([vehicle(0, 0.5, 0.5)], calls, policy=FixedVehiclePolicy(None))  # no theft, no error
+
+
+def test_assigning_calls_to_an_environment_adopts_them():
+    calls = [call(i, float(i), 0.1, 0.1, 0.9, 0.9, wait=5.0) for i in range(3)]
+    env = Environment([vehicle(0, 0, 0)], speed=0.1, driver_rng=np.random.default_rng(0))
+    env.calls = {c.id: c for c in calls}
+    assert isinstance(env.calls, CallTable) and len(env.calls) == 3
+    assert all(c.table is env.calls for c in calls)
+    assert [c.id for c in env.calls.values()] == [0, 1, 2]
+
+
+def test_calls_out_of_arrival_order_are_rejected():
+    calls = [call(0, 5.0, 0.1, 0.1, 0.9, 0.9, wait=5.0), call(1, 4.0, 0.1, 0.1, 0.9, 0.9, wait=5.0)]
+    with pytest.raises(ValueError, match="arrival order"):
+        simulate([vehicle(0, 0, 0)], calls)

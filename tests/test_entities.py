@@ -1,6 +1,19 @@
+import math
+
+import numpy as np
 import pytest
 
-from dispatchsim.entities import ALLOWED_TRANSITIONS, Call, CallStatus, TripRecord, Vehicle
+from dispatchsim.entities import (
+    ALLOWED_TRANSITIONS,
+    CANCELED,
+    EDGES,
+    STATUSES,
+    Call,
+    CallStatus,
+    CallTable,
+    TripRecord,
+    Vehicle,
+)
 from dispatchsim.geometry import Coordinate
 
 
@@ -59,6 +72,58 @@ def test_transition_graph_has_no_extra_edges():
     assert edge_count == 5  # W->A, W->C, A->P, A->W, P->C
     assert not ALLOWED_TRANSITIONS[CallStatus.COMPLETED]
     assert not ALLOWED_TRANSITIONS[CallStatus.CANCELED]
+
+
+def test_illegal_transition_message_names_the_call_and_the_edge():
+    c = make_call(id=7)
+    c.set_status(CallStatus.CANCELED)
+    with pytest.raises(ValueError, match=r"^call 7: illegal status transition canceled -> assigned$"):
+        c.set_status(CallStatus.ASSIGNED)
+    table = CallTable(3)
+    table.set_status(2, CANCELED)
+    with pytest.raises(ValueError, match=r"^call 2: illegal status transition canceled -> canceled$"):
+        table[2].set_status(CallStatus.CANCELED)
+    assert table[2].status_history == [CallStatus.WAITING, CallStatus.CANCELED]
+
+
+def test_edge_table_is_the_transition_graph():
+    edges = {(STATUSES[a], STATUSES[b]) for a, b in zip(*np.nonzero(EDGES))}
+    assert edges == {(a, b) for a, targets in ALLOWED_TRANSITIONS.items() for b in targets}
+
+
+def test_call_fields_live_in_its_table_row():
+    c = make_call(id=4, created_at=2.5, max_wait=3.0)
+    assert (c.table.first_id, c.row, len(c.table)) == (4, 0, 1)
+    assert c.origin == Coordinate(0.1, 0.1) and type(c.origin) is Coordinate
+    assert c.assigned_vehicle is None and c.pickup_time is None
+    c.assigned_vehicle, c.pickup_time = 9, 4.0
+    assert np.asarray(c.table.assigned_vehicle)[0] == 9 and c.table.pickup_time[0] == 4.0
+    c.pickup_time = None
+    assert math.isnan(c.table.floats[7, 0]) and c.pickup_time is None
+
+
+def test_adopted_calls_keep_their_state_and_history():
+    calls = [make_call(id=i, created_at=float(i)) for i in range(3)]
+    calls[1].set_status(CallStatus.ASSIGNED)
+    calls[1].assigned_vehicle = 5
+    table = CallTable.adopt(calls)
+    assert all(c.table is table and c.row == c.id for c in calls)
+    assert list(np.asarray(table.created_at)) == [0.0, 1.0, 2.0]
+    assert [c.status for c in table] == [CallStatus.WAITING, CallStatus.ASSIGNED, CallStatus.WAITING]
+    assert table[1].assigned_vehicle == 5 and table[-1].id == 2
+    assert calls[1].status_history == [CallStatus.WAITING, CallStatus.ASSIGNED]
+    with pytest.raises(ValueError, match="call ids must be 0..n-1 in order"):
+        CallTable.adopt([make_call(id=1)])
+
+
+def test_history_edits_persist_and_later_statuses_append():
+    table = CallTable(2)
+    history = table[0].status_history
+    history.append("edited")
+    table.set_status(0, CANCELED)
+    assert table[0].status_history is history
+    assert history == [CallStatus.WAITING, "edited", CallStatus.CANCELED]
+    assert table[1].status_history == [CallStatus.WAITING]
 
 
 def test_call_requires_positive_tolerance():

@@ -127,7 +127,6 @@ def test_free_vehicle_candidates_cover_pool():
     ]
     env = _bare_env(fleet, clock=20.0)
     for c in (call(3, 5.0, 0.6, 0.7, 0.1, 0.9), call(7, 12.0, 0.3, 0.2, 0.5, 0.4)):
-        env.calls[c.id] = c
         env.pool[c.id] = c
     ctx = list(context_features(env))
     calls = [[0.6, 0.7, 0.1, 0.9, 15.0], [0.3, 0.2, 0.5, 0.4, 8.0]]

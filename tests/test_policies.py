@@ -154,7 +154,6 @@ def _env(vehicles, pool_calls, clock=0.0):
     env = Environment(vehicles, speed=0.1, driver_rng=np.random.default_rng(0))
     env.clock = clock
     for c in pool_calls:
-        env.calls[c.id] = c
         env.pool[c.id] = c
     return env
 

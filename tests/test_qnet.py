@@ -220,6 +220,26 @@ def test_clone_and_copy_from():
         twin.copy_from(QNetwork((3, 6, 1)))
 
 
+def test_clone_is_bit_identical_with_a_fresh_optimizer(monkeypatch):
+    net = QNetwork((4, 6, 1), rng=np.random.default_rng(9), dtype=np.float64, leaky_slope=0.2)
+    x = np.random.default_rng(10).normal(size=(5, 4))
+    net.train_batch(x, np.ones(5), lr=0.01)  # gives the source a nonzero Adam state
+    monkeypatch.setattr(np.random, "default_rng", None)  # a clone draws no weights
+    twin = net.clone()
+    assert (twin.dims, twin.dtype, twin.leaky_slope) == (net.dims, net.dtype, net.leaky_slope)
+    assert twin.params.tobytes() == net.params.tobytes()
+    assert twin.params is not net.params
+    assert twin.adam_t == 0 and not twin.adam_m.any() and not twin.adam_v.any()
+
+
+def test_uninitialized_network_draws_nothing():
+    rng = np.random.default_rng(11)
+    state = rng.bit_generator.state
+    net = QNetwork((3, 5, 1), rng=rng, init=False)
+    assert rng.bit_generator.state == state
+    assert not net.params.any()
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_adam_step_matches_a_per_array_loop_bit_for_bit(dtype):
     net = QNetwork((4, 6, 3, 1), rng=np.random.default_rng(12), dtype=dtype)
