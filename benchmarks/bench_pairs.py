@@ -5,15 +5,17 @@
         --what "one line on the change" --out BENCH_topic.json
 
 For every workload and seed, both checkouts run
-`perfbench/run.py --workload W --seed S --seconds 5 --trace 0` from their own
-root, one run at a time; pairs alternate which side runs first, because the
-host drifts.  The record keeps every run (its metrics, correctness and the
-events or gradient steps of each round), a SHA-256 over each side's `src/`
-files, and per workload and end-to-end metric: each side's quartiles, the
-parent's interquartile range, the pairs the change won and whether the
-change's median stays within the bound that `BENCHMARK.json` fixes.  With
-`--append`, `--out` holds a JSON list of such records and the new one is
-added to it, so one file can keep several comparisons.
+`perfbench/run.py --workload W --seed S --seconds T --trace 0` from their own
+root, one run at a time.  T is `--seconds`: 5 by default, as the benchmark
+runs it; a larger T makes runs of more rounds.  Pairs alternate which side
+runs first, because the host drifts.  The record keeps T, every run (its
+metrics, correctness and the events or gradient steps of each round), a
+SHA-256 over each side's `src/` files, and per workload and end-to-end
+metric: each side's quartiles, the parent's interquartile range, the pairs
+the change won and whether the change's median stays within the bound that
+`BENCHMARK.json` fixes.  With `--append`, `--out` holds a JSON list of such
+records and the new one is added to it, so one file can keep several
+comparisons.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ def src_digest(root: Path) -> str:
     return digest.hexdigest()
 
 
-def run_once(root: Path, workload: str, seed: int) -> dict:
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", "5", "--trace", "0"]
+           "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -102,6 +104,8 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True, help="root of the changed checkout")
     ap.add_argument("--workloads", required=True, help="comma-separated workload names")
     ap.add_argument("--seeds", required=True, help="comma-separated workload seeds")
+    ap.add_argument("--seconds", type=float, default=5.0,
+                    help="perfbench's --seconds for every run (default: 5)")
     ap.add_argument("--what", required=True, help="what the change does, for the record")
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--append", action="store_true",
@@ -116,7 +120,7 @@ def main(argv=None) -> int:
         for seed in (int(s) for s in args.seeds.split(",")):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                run = run_once(roots[side], workload, seed)
+                run = run_once(roots[side], workload, seed, args.seconds)
                 runs.append({"workload": workload, "seed": seed, "side": side,
                              "first": order[0], **run})
                 print(f"{workload} seed {seed} {side}: {run['metrics']}", flush=True)
@@ -125,8 +129,10 @@ def main(argv=None) -> int:
     record = {
         "what": args.what,
         "machine": f"{platform.machine()}, {platform.system()}, Python {platform.python_version()}",
-        "command": "python3 perfbench/run.py --workload <workload> --seed <seed> --seconds 5 "
-                   "--trace 0, from the root of each side, one run at a time",
+        "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> "
+                   f"--seconds {args.seconds:g} --trace 0, from the root of each side, "
+                   "one run at a time",
+        "seconds": args.seconds,
         "order": "pairs alternate which side runs first (field 'first')",
         "src_sha256": {side: src_digest(root) for side, root in roots.items()},
         "summary": summarize(runs, end_to_end),

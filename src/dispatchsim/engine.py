@@ -134,60 +134,60 @@ class Environment:
         table, row = call.table, call.row
         ox, oy = table.origin_x[row], table.origin_y[row]
         dx, dy = table.dest_x[row], table.dest_y[row]
-        vx, vy = vehicle.location  # the L1 distances below are `manhattan_distance`'s
-        eta = travel_time(abs(vx - ox) + abs(vy - oy), self.speed)
+        vid = vehicle.id
+        state = self.fleet_state
+        x, y, dest_x, dest_y, free_at, reject_prob = state.columns
+        # the L1 distances below are `manhattan_distance`'s
+        eta = travel_time(abs(x[vid] - ox) + abs(y[vid] - oy), self.speed)
         drive = travel_time(abs(ox - dx) + abs(oy - dy), self.speed)
-        if self.driver_rng.random() < vehicle.reject_prob:
+        if self.driver_rng.random() < reject_prob[vid]:
             return ProposalOutcome.DRIVER_REJECTED, eta, drive
         if self.clock + eta - table.created_at[row] > table.max_wait[row]:
             return ProposalOutcome.CUSTOMER_REJECTED, eta, drive
         # accepted: commit the assignment and schedule the pickup leg
         self.pool.pop(call.id, None)
         table.set_status(row, ASSIGNED)
-        table.assigned_vehicle[row] = vehicle.id
+        table.assigned_vehicle[row] = vid
         table.assigned_at[row] = self.clock
-        vehicle.busy = True
-        vehicle.move_destination = (dx, dy)
-        vehicle.free_at = self.clock + eta + drive
-        self.queue.push(
-            self.clock + eta, ev.ARRIVAL_AT_ORIGIN, vehicle.id, call.id, self.clock
-        )
+        state.set_busy(vid, True)
+        dest_x[vid], dest_y[vid] = dx, dy
+        free_at[vid] = self.clock + eta + drive
+        self.queue.push(self.clock + eta, ev.ARRIVAL_AT_ORIGIN, vid, call.id, self.clock)
         return ProposalOutcome.ACCEPTED, eta, drive
 
-    def _after_rejection(self, vehicle: Vehicle, call: Call) -> None:
+    def _after_rejection(self, vid: int, call: Call) -> None:
         self.pool[call.id] = call
         self.queue.push(
-            self.clock + REPOSITION_HOLD_MIN,
-            ev.REPOSITION_TIMEOUT,
-            vehicle.id,
-            -1,
-            self.clock,
+            self.clock + REPOSITION_HOLD_MIN, ev.REPOSITION_TIMEOUT, vid, -1, self.clock
         )
 
     # -- event handlers ------------------------------------------------------
+    # Vehicles are named by id; their state is read and written in the
+    # `fleet_state` columns.
 
     def handle_new_call(self, call: Call) -> None:
+        table, row = call.table, call.row
+        created_at = table.created_at[row]
+        # the call's deadline is armed when it arrives, before any outcome
+        self.queue.push(created_at + table.max_wait[row], ev.CANCELLATION, call.id, -1, self.clock)
         self.metrics.calls_created += 1
-        self.recent_arrivals.append(call.table.created_at[call.row])
+        self.recent_arrivals.append(created_at)
         if not self.fleet:
             self.pool[call.id] = call
             return
         vid = self.new_call_policy.choose_vehicle(self, call)
-        if vid is None:
+        if vid is None or not self.fleet_state.idle_flags[vid]:
             self.pool[call.id] = call
             return
-        vehicle = self.fleet[vid]
-        if vehicle.busy:
-            self.pool[call.id] = call
-            return
-        outcome, eta, drive = self.propose_assignment(vehicle, call)
+        outcome, eta, drive = self.propose_assignment(self.fleet[vid], call)
         self.new_call_policy.on_proposal_outcome(self, "new_call", outcome, eta, drive)
         if outcome is not ProposalOutcome.ACCEPTED:
-            self._after_rejection(vehicle, call)
+            self._after_rejection(vid, call)
 
-    def handle_free_vehicle(self, vehicle: Vehicle) -> None:
-        if vehicle.busy or not self.pool:
+    def handle_free_vehicle(self, vid: int) -> None:
+        if not (self.fleet_state.idle_flags[vid] and self.pool):
             return
+        vehicle = self.fleet[vid]
         cid = self.free_vehicle_policy.choose_call(self, vehicle)
         if cid is None:
             return
@@ -197,7 +197,7 @@ class Environment:
             self, "free_vehicle", outcome, eta, drive
         )
         if outcome is not ProposalOutcome.ACCEPTED:
-            self._after_rejection(vehicle, call)
+            self._after_rejection(vid, call)
 
     def fire_cancellation(self, cid: int) -> None:
         calls = self.calls
@@ -208,30 +208,29 @@ class Environment:
         self.pool.pop(cid, None)
         self.metrics.calls_canceled += 1
 
-    def handle_arrival_at_origin(self, vehicle: Vehicle, cid: int) -> None:
+    def handle_arrival_at_origin(self, vid: int, cid: int) -> None:
         calls = self.calls
         calls.set_status(cid, PICKED_UP)
         calls.pickup_time[cid] = self.clock
         self.metrics.calls_served += 1
         self.metrics.sum_delay += self.clock - calls.created_at[cid]
         ox, oy = calls.origin_x[cid], calls.origin_y[cid]
-        vehicle.location = (ox, oy)
+        x, y = self.fleet_state.columns[:2]
+        x[vid], y[vid] = ox, oy
         drive = travel_time(abs(ox - calls.dest_x[cid]) + abs(oy - calls.dest_y[cid]), self.speed)
-        self.queue.push(
-            self.clock + drive, ev.ARRIVAL_AT_DESTINATION, vehicle.id, cid, self.clock
-        )
+        self.queue.push(self.clock + drive, ev.ARRIVAL_AT_DESTINATION, vid, cid, self.clock)
 
-    def handle_arrival_at_destination(self, vehicle: Vehicle, cid: int) -> None:
+    def handle_arrival_at_destination(self, vid: int, cid: int) -> None:
         calls = self.calls
         calls.set_status(cid, COMPLETED)
         calls.completion_time[cid] = self.clock
         self.metrics.sum_service_time += self.clock - calls.pickup_time[cid]
-        vehicle.set_idle((calls.dest_x[cid], calls.dest_y[cid]))
-        self.queue.push(self.clock, ev.FREE_VEHICLE, vehicle.id, -1, self.clock)
+        self.fleet_state.set_idle(vid, calls.dest_x[cid], calls.dest_y[cid])
+        self.queue.push(self.clock, ev.FREE_VEHICLE, vid, -1, self.clock)
 
-    def handle_reposition_timeout(self, vehicle: Vehicle) -> None:
-        if not vehicle.busy:
-            self.queue.push(self.clock, ev.FREE_VEHICLE, vehicle.id, -1, self.clock)
+    def handle_reposition_timeout(self, vid: int) -> None:
+        if self.fleet_state.idle_flags[vid]:
+            self.queue.push(self.clock, ev.FREE_VEHICLE, vid, -1, self.clock)
 
     # -- main loop -----------------------------------------------------------
 
@@ -257,15 +256,15 @@ class Environment:
             if kind == ev.NEW_CALL:
                 self.handle_new_call(view(id_a))
             elif kind == ev.FREE_VEHICLE:
-                self.handle_free_vehicle(self.fleet[id_a])
+                self.handle_free_vehicle(id_a)
             elif kind == ev.CANCELLATION:
                 self.fire_cancellation(id_a)
             elif kind == ev.ARRIVAL_AT_ORIGIN:
-                self.handle_arrival_at_origin(self.fleet[id_a], id_b)
+                self.handle_arrival_at_origin(id_a, id_b)
             elif kind == ev.ARRIVAL_AT_DESTINATION:
-                self.handle_arrival_at_destination(self.fleet[id_a], id_b)
+                self.handle_arrival_at_destination(id_a, id_b)
             elif kind == ev.REPOSITION_TIMEOUT:
-                self.handle_reposition_timeout(self.fleet[id_a])
+                self.handle_reposition_timeout(id_a)
             if self.trace is not None:
                 self.trace.append(f"{time:.6f},{ev.KIND_NAMES[kind]},{id_a},{id_b}")
             if self.audit:
@@ -282,6 +281,12 @@ class Environment:
         if waiting != self.pool.ids:
             raise AssertionError(
                 f"pool desync at t={self.clock}: pool={self.pool.ids} waiting={waiting}"
+            )
+        state = self.fleet_state
+        idle = np.flatnonzero(state.idle).tolist()
+        if idle != state.idle_ids:
+            raise AssertionError(
+                f"idle index desync at t={self.clock}: idle_ids={state.idle_ids} mask={idle}"
             )
 
 
@@ -325,9 +330,16 @@ def run_day(
     """Simulate one day: drain all events generated by the given calls.
 
     `calls` is a `CallTable` whose rows are in arrival order, or calls with
-    ids 0..n-1 in arrival order, which the day adopts into one table.
-    Cancellation timers are armed up-front so they are always scheduled by
-    the time the matching new-call epoch runs.
+    ids 0..n-1 in arrival order, which the day adopts into one table.  Only
+    the new-call events are armed up-front; each call's cancellation is
+    pushed by its new-call epoch, at `created_at + max_wait`.  So a
+    cancellation and a later-pushed event due at exactly the same time pop
+    in push order: the one pushed first, by the earlier epoch, pops first.
+    (When all cancellations were armed up-front, a cancellation popped
+    before every other event of its time except the new calls pushed
+    before it.)  No handler that can run at such a tie reads the pool or
+    the status of the canceled call, so the day's outcome does not depend
+    on it.
     """
     env = Environment(
         fleet,
@@ -342,13 +354,11 @@ def run_day(
     env.free_vehicle_policy = free_vehicle_policy
     env.calls = calls
     arrivals = np.asarray(env.calls.created_at)
-    if (arrivals[1:] < arrivals[:-1]).any():  # the audit relies on it
+    if not (arrivals[1:] >= arrivals[:-1]).all():  # the audit relies on it; nan fails too
         raise ValueError("calls must be in arrival order")
     push = env.queue.push
-    waits = np.asarray(env.calls.max_wait).tolist()
-    for cid, (t, wait) in enumerate(zip(arrivals.tolist(), waits)):
+    for cid, t in enumerate(arrivals.tolist()):
         push(t, ev.NEW_CALL, cid)
-        push(t + wait, ev.CANCELLATION, cid)
     new_call_policy.on_day_start(env)
     if free_vehicle_policy is not new_call_policy:
         free_vehicle_policy.on_day_start(env)

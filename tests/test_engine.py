@@ -13,6 +13,7 @@ from dispatchsim.engine import (
 from dispatchsim.demand import StochasticConfig
 from dispatchsim.config import parse_lines
 from dispatchsim.entities import Call, CallStatus, CallTable, Vehicle
+from dispatchsim.events import CausalityError
 from dispatchsim.harness import build_calls, demand_source_from_config
 from dispatchsim.geometry import Coordinate
 from dispatchsim.policies import DispatchPolicy, NearestPolicy, RandomPolicy
@@ -371,3 +372,51 @@ def test_calls_out_of_arrival_order_are_rejected():
     calls = [call(0, 5.0, 0.1, 0.1, 0.9, 0.9, wait=5.0), call(1, 4.0, 0.1, 0.1, 0.9, 0.9, wait=5.0)]
     with pytest.raises(ValueError, match="arrival order"):
         simulate([vehicle(0, 0, 0)], calls)
+
+
+def test_calls_with_a_nan_arrival_time_are_rejected():
+    calls = [call(i, float(i), 0.1, 0.1, 0.9, 0.9, wait=5.0) for i in range(3)]
+    table = CallTable.adopt(calls)
+    table.created_at[1] = math.nan
+    with pytest.raises(ValueError, match="arrival order"):
+        simulate([vehicle(0, 0, 0)], table)
+    single = CallTable.adopt([call(0, 1.0, 0.1, 0.1, 0.9, 0.9, wait=5.0)])
+    single.created_at[0] = math.nan
+    with pytest.raises(CausalityError, match="new_call at t=nan"):
+        simulate([vehicle(0, 0, 0)], single)
+
+
+def test_zero_vehicle_day_cancels_every_call_at_its_deadline():
+    r = np.random.default_rng(5)
+    times = np.cumsum(r.uniform(0.0, 3.0, 200))
+    waits = r.uniform(0.5, 40.0, 200)
+    calls = [call(i, float(times[i]), 0.1, 0.1, 0.9, 0.9, wait=float(waits[i])) for i in range(200)]
+    m = simulate([], calls)
+    assert m.calls_canceled == 200 and m.events_processed == 2 * 200
+    assert all(c.canceled_at == c.created_at + c.max_wait for c in calls)
+
+
+class QueueAtDayStart(NearestPolicy):
+    def on_day_start(self, env):
+        self.armed = len(env.queue)
+
+
+def test_only_new_calls_are_armed_before_the_day_starts():
+    calls = [call(i, float(i), 0.1, 0.1, 0.9, 0.9, wait=5.0) for i in range(30)]
+    policy = QueueAtDayStart()
+    m = simulate([vehicle(0, 0.5, 0.5)], calls, policy=policy)
+    assert policy.armed == 30 == m.calls_created
+
+
+class IdleThief(NearestPolicy):
+    """Marks vehicle 0 busy in the idle mask alone, behind the engine's back."""
+
+    def choose_vehicle(self, env, c):
+        env.fleet_state.idle[0] = 0
+        return None
+
+
+def test_audit_catches_an_idle_index_desync():
+    calls = [call(0, 1.0, 0.1, 0.1, 0.9, 0.9, wait=50.0)]
+    with pytest.raises(AssertionError, match=r"idle index desync at t=1.0: idle_ids=\[0, 1\] mask=\[1\]"):
+        simulate([vehicle(0, 0.5, 0.5), vehicle(1, 0.5, 0.5)], calls, policy=IdleThief())

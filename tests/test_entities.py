@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dispatchsim.entities import (
     ALLOWED_TRANSITIONS,
@@ -11,6 +13,7 @@ from dispatchsim.entities import (
     Call,
     CallStatus,
     CallTable,
+    FleetState,
     TripRecord,
     Vehicle,
 )
@@ -129,6 +132,60 @@ def test_history_edits_persist_and_later_statuses_append():
 def test_call_requires_positive_tolerance():
     with pytest.raises(ValueError):
         make_call(max_wait=0.0)
+
+
+@pytest.mark.parametrize("created_at", [math.nan, math.inf, -math.inf])
+def test_call_rejects_a_non_finite_creation_time(created_at):
+    with pytest.raises(ValueError, match="call 4: created_at must be finite"):
+        make_call(id=4, created_at=created_at)
+
+
+def test_call_rejects_a_nan_tolerance():
+    with pytest.raises(ValueError, match="call 6: max_wait must be positive, got nan"):
+        make_call(id=6, max_wait=math.nan)
+
+
+def _assert_idle_index(state):
+    assert state.idle_ids == np.flatnonzero(state.idle).tolist()
+
+
+# (vehicle, op): op 0 sets busy, 1 sets idle through `busy`, 2 through `set_idle`
+toggles = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 2)), max_size=60)
+
+
+@settings(max_examples=100)
+@given(toggles, toggles)
+def test_idle_ids_follow_the_idle_mask(before, after):
+    fleet = FleetState(8).views()
+    state = fleet[0].store
+    _assert_idle_index(state)
+
+    def apply(ops):
+        for vid, op in ops:
+            if op == 0:
+                fleet[vid].busy = True
+            elif op == 1:
+                fleet[vid].busy = False
+            else:
+                fleet[vid].set_idle(Coordinate(0.25, 0.5))
+            assert fleet[vid].busy == (op == 0)
+            _assert_idle_index(state)
+
+    apply(before)
+    adopted = FleetState.adopt(fleet)
+    _assert_idle_index(adopted)
+    assert adopted.idle_ids == state.idle_ids
+    state = adopted
+    apply(after)
+
+
+def test_set_busy_is_idempotent():
+    state = FleetState(3)
+    state.set_busy(1, True)
+    state.set_busy(1, True)
+    assert state.idle_ids == [0, 2]
+    state.set_busy(0, False)
+    assert state.idle_ids == [0, 2] and list(state.idle) == [1, 0, 1]
 
 
 def test_vehicle_idle_invariant():

@@ -30,6 +30,16 @@ def test_push_before_clock_is_causality_error():
         q.push(1.0, ev.FREE_VEHICLE, 0, clock=2.0)
 
 
+def test_push_at_nan_is_causality_error():
+    q = EventQueue()
+    q.push(3.0, ev.NEW_CALL, 0)
+    with pytest.raises(CausalityError, match="t=nan"):
+        q.push(float("nan"), ev.NEW_CALL, 1)
+    with pytest.raises(CausalityError):
+        q.push(4.0, ev.CANCELLATION, 0, clock=float("nan"))
+    assert q.pop()[0] == 3.0 and q.pop() is None
+
+
 @given(st.lists(st.floats(0, 1e6, allow_nan=False), min_size=0, max_size=200))
 def test_pops_are_sorted(times):
     q = EventQueue()

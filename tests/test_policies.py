@@ -12,6 +12,7 @@ from dispatchsim.entities import Call, CallPool, CallStatus, Vehicle
 from dispatchsim.features import new_call_candidates
 from dispatchsim.geometry import Coordinate
 from dispatchsim.policies import (
+    NEAREST_SCAN_CROSSOVER,
     FifoPolicy,
     LifoPolicy,
     NearestPolicy,
@@ -21,6 +22,7 @@ from dispatchsim.policies import (
     make_baseline,
     nn_choose,
     random_choose,
+    _nearest_idle_vehicle,
 )
 
 
@@ -187,6 +189,34 @@ def test_choose_vehicle_none_when_all_busy():
     fleet = [vehicle(0, 0.0, 0.0, busy=True), vehicle(1, 0.3, 0.0, busy=True)]
     env = _env(fleet, [])
     assert NearestPolicy().choose_vehicle(env, call(0, 0.0, 0.0, 0.0)) is None
+
+
+@pytest.mark.parametrize("n_idle", [0, 1, 2, 5, NEAREST_SCAN_CROSSOVER, NEAREST_SCAN_CROSSOVER + 1, 90, 120])
+@pytest.mark.parametrize("seed", range(4))
+def test_nearest_idle_vehicle_matches_brute_force_on_both_sides_of_the_crossover(n_idle, seed):
+    # Dyadic grid points: the L1 distances are exact, so ties are real ties.
+    r = random.Random(seed)
+    fleet = [vehicle(i, r.randrange(9) / 8, r.randrange(9) / 8) for i in range(120)]
+    idle = set(r.sample(range(120), n_idle))
+    for v in fleet:
+        v.busy = v.id not in idle
+    env = _env(fleet, [])
+    for _ in range(25):
+        c = call(0, 0.0, r.randrange(9) / 8, r.randrange(9) / 8)
+        dists = [(abs(v.location.x - c.origin.x) + abs(v.location.y - c.origin.y), v.id)
+                 for v in fleet if v.id in idle]
+        expected = min(dists)[1] if dists else None
+        assert _nearest_idle_vehicle(env, c) == expected
+        assert NearestPolicy().choose_vehicle(env, c) == expected
+
+
+def test_nearest_idle_vehicle_breaks_a_tie_to_the_lowest_id():
+    fleet = [vehicle(0, 0.5, 0.5, busy=True), vehicle(1, 0.25, 0.0), vehicle(2, 0.0, 0.25),
+             vehicle(3, 0.0, 0.0)]
+    env = _env(fleet, [])
+    assert _nearest_idle_vehicle(env, call(0, 0.0, 0.125, 0.125)) == 1
+    env.fleet[1].busy = True
+    assert _nearest_idle_vehicle(env, call(0, 0.0, 0.125, 0.125)) == 2
 
 
 def test_fleet_state_is_the_vehicles_own_state():
