@@ -405,7 +405,7 @@ class Vehicle:
     store instead.  `reject_prob` is sampled once at creation.
     """
 
-    __slots__ = ("id", "store", "row", "_floats", "_idle")
+    __slots__ = ("id", "store", "row", "_floats")
 
     location = _point(0)
     move_destination = _point(2)
@@ -424,14 +424,13 @@ class Vehicle:
     def bind(self, store: FleetState, row: int) -> None:
         """Make this vehicle a view onto row `row` of `store`."""
         self.store, self.row = store, row
-        # Memoryviews onto the row: scalar access through them costs about
+        # A memoryview onto the row: scalar access through it costs about
         # half of numpy indexing and gives Python floats.
         self._floats = memoryview(store.floats[:, row])
-        self._idle = memoryview(store.idle[row : row + 1])
 
     @property
     def busy(self) -> bool:
-        return not self._idle[0]
+        return not self.store.idle_flags[self.row]
 
     @busy.setter
     def busy(self, value: bool) -> None:
