@@ -331,15 +331,13 @@ def run_day(
 
     `calls` is a `CallTable` whose rows are in arrival order, or calls with
     ids 0..n-1 in arrival order, which the day adopts into one table.  Only
-    the new-call events are armed up-front; each call's cancellation is
-    pushed by its new-call epoch, at `created_at + max_wait`.  So a
-    cancellation and a later-pushed event due at exactly the same time pop
-    in push order: the one pushed first, by the earlier epoch, pops first.
-    (When all cancellations were armed up-front, a cancellation popped
-    before every other event of its time except the new calls pushed
-    before it.)  No handler that can run at such a tie reads the pool or
-    the status of the canceled call, so the day's outcome does not depend
-    on it.
+    the new-call events are armed up-front; each new-call epoch arms its
+    call's cancellation at `created_at + max_wait`.  Events due at the same
+    time pop in push order, so a cancellation pops after the new calls of
+    its time and after the vehicle events of its time that were pushed
+    before its call arrived.  Under the package's policies none of those
+    reads the pool or the canceled call, so the day's outcome does not
+    depend on that order.
     """
     env = Environment(
         fleet,
