@@ -13,9 +13,9 @@ metrics, correctness and the events or gradient steps of each round), a
 SHA-256 over each side's `src/` files, and per workload and end-to-end
 metric: each side's quartiles, the parent's interquartile range, the pairs
 the change won and whether the change's median stays within the bound that
-`BENCHMARK.json` fixes.  With `--append`, `--out` holds a JSON list of such
-records and the new one is added to it, so one file can keep several
-comparisons.
+`BENCHMARK.json` fixes.  With `--append`, the new record is added to the
+records in `--out` (a JSON list, or one record), and the file becomes a
+list, so one file can keep several comparisons.
 """
 
 from __future__ import annotations
@@ -140,6 +140,8 @@ def main(argv=None) -> int:
     }
     if args.append:
         records = json.loads(args.out.read_text()) if args.out.exists() else []
+        if isinstance(records, dict):  # a file written without --append holds one record
+            records = [records]
         record = [*records, record]
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0

@@ -1,0 +1,60 @@
+"""`benchmarks/bench_pairs.py` with perfbench runs replaced by fixed results."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "benchmarks" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+@pytest.fixture
+def fake_runs(monkeypatch):
+    calls = []
+
+    def run_once(root, workload, seed, seconds):
+        calls.append((root.name, workload, seed, seconds))
+        speed = 2.0 if root.name == "change" else 1.0
+        return {
+            "correct": True, "attempted": 1, "failed": 0,
+            "metrics": {"setup_s": 1.0, "work_per_s": speed * seed, "peak_rss_mb": 50.0},
+            "rounds": [{"s": 1.0, "events": 10, "grad_steps": 0}],
+            "kernel_implementation": "python",
+        }
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "src_digest", lambda root: root.name)
+    return calls
+
+
+def _main(tmp_path, out, *extra):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir(exist_ok=True)
+    (tmp_path / "change" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    return bench_pairs.main([
+        "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+        "--workloads", "w", "--seeds", "1,2", "--what", "test", "--out", str(out), *extra,
+    ])
+
+
+def test_seconds_default_to_five_and_are_kept_in_the_record(tmp_path, fake_runs):
+    out = tmp_path / "one.json"
+    assert _main(tmp_path, out) == 0
+    record = json.loads(out.read_text())
+    assert {c[3] for c in fake_runs} == {5.0} and len(fake_runs) == 4
+    assert record["seconds"] == 5.0 and "--seconds 5 " in record["command"]
+    assert record["summary"]["w"]["work_per_s"]["change_wins_pairs"] == "2/2"
+
+
+def test_seconds_reach_every_run_and_append_turns_one_record_into_a_list(tmp_path, fake_runs):
+    out = tmp_path / "two.json"
+    _main(tmp_path, out)
+    _main(tmp_path, out, "--seconds", "12.5", "--append")
+    records = json.loads(out.read_text())
+    assert [r["seconds"] for r in records] == [5.0, 12.5]
+    assert [c[3] for c in fake_runs[4:]] == [12.5] * 4
+    assert "--seconds 12.5 " in records[1]["command"]
