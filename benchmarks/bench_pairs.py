@@ -8,9 +8,12 @@ For every workload and seed, both checkouts run
 `perfbench/run.py --workload W --seed S --seconds T --trace 0` from their own
 root, one run at a time.  T is `--seconds`: 5 by default, as the benchmark
 runs it; a larger T makes runs of more rounds.  Pairs alternate which side
-runs first, because the host drifts.  The record keeps T, every run (its
-metrics, correctness and the events or gradient steps of each round), a
-SHA-256 over each side's `src/` files, and per workload and end-to-end
+runs first, because the host drifts.  Before each run a fixed probe is
+timed: a pure-Python loop plus a numpy L1 argmin, each the median of a few
+repeats; a slower host reads a larger `probe_s`, so records from different
+sittings can be read side by side.  The record keeps T, every run (its
+`probe_s`, metrics, correctness and the events or gradient steps of each
+round), a SHA-256 over each side's `src/` files, and per workload and end-to-end
 metric: each side's quartiles, the parent's interquartile range, the pairs
 the change won and whether the change's median stays within the bound that
 `BENCHMARK.json` fixes.  With `--append`, the new record is added to the
@@ -28,9 +31,43 @@ import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
+
 ROUND = re.compile(r"^round: ([\d.]+) s, (\d+) events, (\d+) gradient steps")
+PROBE_REPEATS = 5
+PROBE_XY = np.random.default_rng(0).random((2, 1000))
+
+
+def _median_seconds(fn) -> float:
+    samples = []
+    for _ in range(PROBE_REPEATS):
+        start = time.perf_counter()
+        fn()
+        samples.append(time.perf_counter() - start)
+    return statistics.median(samples)
+
+
+def _python_loop() -> int:
+    total = 0
+    for i in range(200_000):
+        total += i * i % 7
+    return total
+
+
+def _numpy_argmin() -> None:
+    xs, ys = PROBE_XY
+    for _ in range(1_000):
+        d = np.abs(xs - 0.5)
+        d += np.abs(ys - 0.5)
+        d.argmin()
+
+
+def probe() -> float:
+    """Seconds the host takes for the fixed probe: the loop's median plus the argmin's."""
+    return _median_seconds(_python_loop) + _median_seconds(_numpy_argmin)
 
 
 def src_digest(root: Path) -> str:
@@ -120,9 +157,10 @@ def main(argv=None) -> int:
         for seed in (int(s) for s in args.seeds.split(",")):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
+                probe_s = probe()
                 run = run_once(roots[side], workload, seed, args.seconds)
                 runs.append({"workload": workload, "seed": seed, "side": side,
-                             "first": order[0], **run})
+                             "first": order[0], "probe_s": probe_s, **run})
                 print(f"{workload} seed {seed} {side}: {run['metrics']}", flush=True)
             pair += 1
 

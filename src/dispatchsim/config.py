@@ -6,6 +6,7 @@ Every knob has a desk-scale default so a minimal file (`seed=1`) runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional
 
@@ -160,14 +161,24 @@ class ExperimentConfig:
 
     @property
     def cluster_list(self) -> List[GaussianCluster]:
-        spec = self.values["clusters"].strip()
-        if not spec:
-            return []
-        clusters = []
-        for part in spec.split(";"):
+        return _parse_clusters(self.values["clusters"])
+
+
+def _parse_clusters(spec: str) -> List[GaussianCluster]:
+    """The `clusters` value, `x,y,sigma,weight;...`, as clusters; blank is none."""
+    spec = spec.strip()
+    if not spec:
+        return []
+    clusters = []
+    for part in spec.split(";"):
+        try:
             x, y, sigma, weight = (float(t) for t in part.split(","))
-            clusters.append(GaussianCluster(Coordinate(x, y), sigma, weight))
-        return clusters
+        except ValueError:
+            raise ConfigError(
+                f"key 'clusters': part {part!r} must be four numbers x,y,sigma,weight"
+            ) from None
+        clusters.append(GaussianCluster(Coordinate(x, y), sigma, weight))
+    return clusters
 
 
 def parse_lines(lines, source: str = "<config>") -> ExperimentConfig:
@@ -190,6 +201,9 @@ def parse_lines(lines, source: str = "<config>") -> ExperimentConfig:
             raise ConfigError(
                 f"{source}:{lineno}: key {key!r} expects {typ.__name__}, got {value!r}"
             ) from None
+        # the defaults are finite, so only the lines present need this check
+        if typ is float and not math.isfinite(values[key]):
+            raise ConfigError(f"{source}:{lineno}: key {key!r} must be finite, got {value!r}")
     _validate(values)
     return ExperimentConfig(values)
 
@@ -204,6 +218,9 @@ def _validate(values: Dict[str, object]) -> None:
         raise ConfigError(f"demand_mode must be synthetic|records, got {values['demand_mode']!r}")
     if values["spatial_mode"] not in ("uniform", "clusters"):
         raise ConfigError(f"spatial_mode must be uniform|clusters, got {values['spatial_mode']!r}")
+    clusters = _parse_clusters(values["clusters"])
+    if values["spatial_mode"] == "clusters" and not clusters:
+        raise ConfigError("spatial_mode=clusters needs at least one cluster in key 'clusters'")
     if not values["box_x_min"] < values["box_x_max"] or not values["box_y_min"] < values["box_y_max"]:
         raise ConfigError("bounding box is degenerate")
     for p in values["policies"].split(","):

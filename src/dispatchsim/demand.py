@@ -57,6 +57,9 @@ class DemandSource:
             )
             if rates.shape != (168,):
                 raise DemandError("synthetic mode requires 168 hourly rates")
+            if not np.isfinite(rates).all():
+                # an infinite rate draws zero gaps forever
+                raise DemandError("hourly rates must be finite")
             if np.any(rates < 0) or not np.any(rates > 0):
                 raise DemandError("hourly rates must be nonnegative with at least one positive")
             self.hourly_rates = rates

@@ -26,7 +26,12 @@ def fake_runs(monkeypatch):
             "kernel_implementation": "python",
         }
 
+    def probe():
+        calls.append("probe")
+        return 0.25
+
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "probe", probe)
     monkeypatch.setattr(bench_pairs, "src_digest", lambda root: root.name)
     return calls
 
@@ -45,7 +50,8 @@ def test_seconds_default_to_five_and_are_kept_in_the_record(tmp_path, fake_runs)
     out = tmp_path / "one.json"
     assert _main(tmp_path, out) == 0
     record = json.loads(out.read_text())
-    assert {c[3] for c in fake_runs} == {5.0} and len(fake_runs) == 4
+    runs = [c for c in fake_runs if c != "probe"]
+    assert {c[3] for c in runs} == {5.0} and len(runs) == 4
     assert record["seconds"] == 5.0 and "--seconds 5 " in record["command"]
     assert record["summary"]["w"]["work_per_s"]["change_wins_pairs"] == "2/2"
 
@@ -56,5 +62,17 @@ def test_seconds_reach_every_run_and_append_turns_one_record_into_a_list(tmp_pat
     _main(tmp_path, out, "--seconds", "12.5", "--append")
     records = json.loads(out.read_text())
     assert [r["seconds"] for r in records] == [5.0, 12.5]
-    assert [c[3] for c in fake_runs[4:]] == [12.5] * 4
+    assert [c[3] for c in fake_runs[8:] if c != "probe"] == [12.5] * 4
     assert "--seconds 12.5 " in records[1]["command"]
+
+
+def test_probe_is_timed_before_each_run_and_kept_with_it(tmp_path, fake_runs):
+    out = tmp_path / "probe.json"
+    _main(tmp_path, out)
+    assert fake_runs[::2] == ["probe"] * 4 and "probe" not in fake_runs[1::2]
+    assert [r["probe_s"] for r in json.loads(out.read_text())["runs"]] == [0.25] * 4
+
+
+def test_probe_times_the_host():
+    seconds = bench_pairs.probe()
+    assert 0.0 < seconds < 60.0

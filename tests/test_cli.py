@@ -108,6 +108,31 @@ def test_bad_cluster_weight_exits_2(cfg_file, capsys, clusters, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line", ["box_x_max=inf", "week_origin_offset=nan", "speed=inf", "synthetic_base_rate=inf"]
+)
+def test_non_finite_config_float_exits_2(cfg_file, capsys, line):
+    cfg_file.write_text(cfg_file.read_text() + line + "\n")
+    rc = main(["simulate", "--config", str(cfg_file)])
+    assert rc == 2
+    key = line.split("=")[0]
+    assert f"error: {cfg_file}:12: key '{key}' must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("spatial_mode=clusters\n", "error: spatial_mode=clusters needs at least one cluster"),
+        ("clusters=0.5,0.5\n", "error: key 'clusters': part '0.5,0.5'"),
+    ],
+)
+def test_bad_clusters_exit_2(cfg_file, capsys, lines, message):
+    cfg_file.write_text(cfg_file.read_text() + lines)
+    rc = main(["simulate", "--config", str(cfg_file)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 def test_missing_checkpoints_exit_2(cfg_file, tmp_path, capsys):
     cfg = cfg_file.read_text().replace("policies=fifo,nn", "policies=dqn")
     cfg_file.write_text(cfg)

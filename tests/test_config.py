@@ -105,6 +105,20 @@ def test_cluster_list_parsing():
     assert clusters[1].weight == 2.0
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["spatial_mode=clusters"], "spatial_mode=clusters needs at least one cluster"),
+        (["spatial_mode=clusters", "clusters= "], "spatial_mode=clusters needs at least one cluster"),
+        (["clusters=0.5,0.5"], "key 'clusters': part '0.5,0.5' must be four numbers"),
+        (["clusters=0.2,0.2,0.1,1;0.5,x,0.1,1"], "key 'clusters': part '0.5,x,0.1,1'"),
+    ],
+)
+def test_bad_clusters_name_the_key_and_part(lines, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_lines(lines)
+
+
 def test_typed_views():
     cfg = parse_lines(["tolerance_shape=3.0", "reject_alpha=1.0", "gamma=0.85"])
     assert cfg.stochastic.tolerance_shape == 3.0

@@ -151,6 +151,15 @@ def test_source_validation():
         DemandSource(mode="synthetic", hourly_rates=np.ones(24))
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_non_finite_hourly_rate_is_rejected(bad):
+    # an infinite rate would draw zero gaps forever; the source refuses it
+    rates = flat_hourly_rates(1.0)
+    rates[37] = bad
+    with pytest.raises(DemandError, match="finite"):
+        DemandSource(mode="synthetic", hourly_rates=rates)
+
+
 GOOD_CLUSTER = GaussianCluster(Coordinate(0.5, 0.5), 0.1, 1.0)
 ZERO_CLUSTER = GaussianCluster(Coordinate(0.5, 0.5), 0.1, 0.0)
 # each weight is finite, their sum overflows to inf
