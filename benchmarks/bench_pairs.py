@@ -16,9 +16,13 @@ sittings can be read side by side.  The record keeps T, every run (its
 round), a SHA-256 over each side's `src/` files, and per workload and end-to-end
 metric: each side's quartiles, the parent's interquartile range, the pairs
 the change won and whether the change's median stays within the bound that
-`BENCHMARK.json` fixes.  With `--append`, the new record is added to the
-records in `--out` (a JSON list, or one record), and the file becomes a
-list, so one file can keep several comparisons.
+`BENCHMARK.json` fixes.  A metric is `unresolved` when the parent's
+interquartile range is wider than the bound times the parent's median, as
+the runs then spread too widely to tell a change within the bound from
+none, unless every change run reads better than every parent run.  With
+`--append`, the new record is added to the records in `--out` (a JSON
+list, or one record), and the file becomes a list, so one file can keep
+several comparisons.
 """
 
 from __future__ import annotations
@@ -120,6 +124,7 @@ def summarize(runs, end_to_end) -> dict:
             change = [side["change"][s][name] for s in seeds]
             pq, cq = quartiles(parent), quartiles(change)
             wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+            every_run_better = min(change) > max(parent) if higher else max(change) < min(parent)
             worse_by = (pq[1] - cq[1]) / pq[1] if higher else (cq[1] - pq[1]) / pq[1]
             summary[workload][name] = {
                 "better": metric["better"],
@@ -131,6 +136,7 @@ def summarize(runs, end_to_end) -> dict:
                 "parent_iqr": pq[2] - pq[0],
                 "change_wins_pairs": f"{wins}/{len(seeds)}",
                 "within_bound": worse_by <= metric["bound"],
+                "unresolved": pq[2] - pq[0] > metric["bound"] * pq[1] and not every_run_better,
             }
     return summary
 

@@ -42,11 +42,14 @@ class AgentConfig:
             raise ValueError("gamma must be in (0, 1)")
         if not 0.0 <= self.epsilon_min <= self.epsilon_max <= 1.0:
             raise ValueError("epsilon bounds out of order")
-        for name in ("learning_starts", "update_steps", "batch_size", "buffer_capacity"):
-            if getattr(self, name) <= 0:
+        if not 0.0 < self.epsilon_factor <= 1.0:
+            raise ValueError("epsilon_factor must be in (0, 1]")
+        for name in ("learning_starts", "update_steps", "batch_size", "buffer_capacity",
+                     "learning_rate"):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not -math.inf < self.reward_bonus < math.inf:
+            raise ValueError("reward_bonus must be finite")
 
     @property
     def beta(self) -> float:
@@ -79,20 +82,23 @@ class Transition:
 
 
 class ReplayBuffer:
-    """Ring buffer with strictly oldest-first eviction and uniform sampling."""
+    """Ring buffer, grown by appends to `capacity`: oldest-first eviction, uniform sampling."""
 
     def __init__(self, capacity: int):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._items: List[Optional[Transition]] = [None] * capacity
+        self._items: List[Transition] = []
         self._next = 0
         self.size = 0
 
     def push(self, item: Transition) -> None:
-        self._items[self._next] = item
+        if self.size < self.capacity:
+            self._items.append(item)
+            self.size += 1
+        else:
+            self._items[self._next] = item
         self._next = (self._next + 1) % self.capacity
-        self.size = min(self.size + 1, self.capacity)
 
     def sample(self, n: int, rng: np.random.Generator) -> List[Transition]:
         idx = rng.integers(0, self.size, size=n)
@@ -100,8 +106,6 @@ class ReplayBuffer:
 
     def snapshot(self) -> List[Transition]:
         """Contents oldest-first (test hook)."""
-        if self.size < self.capacity:
-            return [t for t in self._items[: self.size]]
         return self._items[self._next :] + self._items[: self._next]
 
 

@@ -96,7 +96,7 @@ class StochasticConfig:
 
     def __post_init__(self):
         for name in ("tolerance_shape", "tolerance_scale", "reject_alpha", "reject_beta"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # a nan fails too
                 raise ValueError(f"{name} must be strictly positive")
 
 

@@ -84,8 +84,7 @@ class Environment:
 
         self.clock = 0.0
         self.queue = EventQueue()
-        self.calls = CallTable(0)
-        self.pool = CallPool()  # waiting calls, in id order
+        self.calls = CallTable(0)  # and an empty pool
         self.recent_arrivals: deque = deque()
         self.metrics = DayMetrics()
 
@@ -94,7 +93,7 @@ class Environment:
 
     @property
     def calls(self) -> CallTable:
-        """The day's calls, indexed by id; a list of calls or an id -> call mapping is adopted."""
+        """The day's calls by id; assigned calls (a list or an id -> call mapping) are adopted."""
         return self._calls
 
     @calls.setter
@@ -102,15 +101,23 @@ class Environment:
         if not isinstance(calls, CallTable):
             calls = CallTable.adopt(list(calls.values() if hasattr(calls, "values") else calls))
         self._calls = calls
+        self._pool = CallPool(calls)  # empty
 
     @property
     def pool(self) -> CallPool:
-        """The waiting calls; an assigned id -> `Call` mapping becomes a `CallPool`."""
+        """The waiting calls among `calls`; an assigned id -> call mapping becomes a `CallPool`."""
         return self._pool
 
     @pool.setter
     def pool(self, calls) -> None:
-        self._pool = calls if isinstance(calls, CallPool) else CallPool(calls)
+        if not isinstance(calls, CallPool):
+            pool = CallPool(self.calls)
+            for cid, call in dict(calls).items():
+                if call.table is not self.calls or call.row != cid:
+                    raise ValueError(f"call {cid} is not a row of the environment's calls")
+                pool.add(cid)
+            calls = pool
+        self._pool = calls
 
     # -- context -----------------------------------------------------------
 
@@ -145,7 +152,7 @@ class Environment:
         if self.clock + eta - table.created_at[row] > table.max_wait[row]:
             return ProposalOutcome.CUSTOMER_REJECTED, eta, drive
         # accepted: commit the assignment and schedule the pickup leg
-        self.pool.pop(call.id, None)
+        self.pool.discard(call.id)
         table.set_status(row, ASSIGNED)
         table.assigned_vehicle[row] = vid
         table.assigned_at[row] = self.clock
@@ -156,7 +163,7 @@ class Environment:
         return ProposalOutcome.ACCEPTED, eta, drive
 
     def _after_rejection(self, vid: int, call: Call) -> None:
-        self.pool[call.id] = call
+        self.pool.add(call.id)
         self.queue.push(
             self.clock + REPOSITION_HOLD_MIN, ev.REPOSITION_TIMEOUT, vid, -1, self.clock
         )
@@ -172,12 +179,9 @@ class Environment:
         self.queue.push(created_at + table.max_wait[row], ev.CANCELLATION, call.id, -1, self.clock)
         self.metrics.calls_created += 1
         self.recent_arrivals.append(created_at)
-        if not self.fleet:
-            self.pool[call.id] = call
-            return
-        vid = self.new_call_policy.choose_vehicle(self, call)
+        vid = self.new_call_policy.choose_vehicle(self, call) if self.fleet else None
         if vid is None or not self.fleet_state.idle_flags[vid]:
-            self.pool[call.id] = call
+            self.pool.add(call.id)
             return
         outcome, eta, drive = self.propose_assignment(self.fleet[vid], call)
         self.new_call_policy.on_proposal_outcome(self, "new_call", outcome, eta, drive)
@@ -191,7 +195,7 @@ class Environment:
         cid = self.free_vehicle_policy.choose_call(self, vehicle)
         if cid is None:
             return
-        call = self.pool[cid]
+        call = self.calls.view(cid)
         outcome, eta, drive = self.propose_assignment(vehicle, call)
         self.free_vehicle_policy.on_proposal_outcome(
             self, "free_vehicle", outcome, eta, drive
@@ -205,7 +209,7 @@ class Environment:
             return  # disarmed by a successful assignment
         calls.set_status(cid, CANCELED)
         calls.canceled_at[cid] = self.clock
-        self.pool.pop(cid, None)
+        self.pool.discard(cid)
         self.metrics.calls_canceled += 1
 
     def handle_arrival_at_origin(self, vid: int, cid: int) -> None:
@@ -282,6 +286,11 @@ class Environment:
             raise AssertionError(
                 f"pool desync at t={self.clock}: pool={self.pool.ids} waiting={waiting}"
             )
+        # no name keeps the columns view, which would block the next pool change
+        stale = np.flatnonzero((self.pool.columns != self.calls.floats[:5, waiting]).any(axis=0))
+        if len(stale):
+            raise AssertionError(f"pool values desync at t={self.clock}: "
+                                 f"call {waiting[stale[0]]} differs from its row")
         state = self.fleet_state
         idle = np.flatnonzero(state.idle).tolist()
         if idle != state.idle_ids:

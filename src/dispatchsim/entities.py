@@ -6,7 +6,6 @@ import enum
 import math
 from array import array
 from bisect import bisect_left, insort
-from collections.abc import MutableMapping
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -229,85 +228,71 @@ class Call:
 _new_call = Call.__new__
 
 
-_MISSING = object()
+class CallPool:
+    """The waiting calls of one `CallTable`: their ids and one array of their call facts.
 
-
-class CallPool(MutableMapping):
-    """The waiting calls: an id -> `Call` mapping beside id-ordered columns.
-
-    `ids` holds the pooled call ids in increasing order, which is also the
-    order the mapping iterates in.  `columns` is a (5, len) float64 view
-    whose rows are origin x, origin y, destination x, destination y and
-    `created_at`; column i describes call `ids[i]`.  A call's values are
-    read when it is set.  Calls normally arrive in id order, so an insert
-    is an append; a removal shifts the entries after it down by one.
+    `ids` holds the pooled call ids in increasing order; an id is a row of
+    `table`.  `rows` holds five floats per pooled call, in `ids` order:
+    origin x, origin y, destination x, destination y and `created_at`,
+    copied from the table row when the call is pooled.  `columns` is a
+    fresh (5, len) float64 view onto `rows` on every read; column i
+    describes call `ids[i]`.  While a numpy view onto `rows` is alive,
+    resizing `rows` raises `BufferError`, so no caller may keep `columns`
+    across an `add` or a `discard`.  `pool[cid]` and `values()` give views
+    onto the table's rows.
     """
 
-    def __init__(self, calls=()):
-        self._calls: dict = {}
-        self._ids: List[int] = []
-        self._block = np.empty((5, 64))
-        for cid, call in dict(calls).items():
-            self[cid] = call
-
-    @property
-    def ids(self) -> List[int]:
-        return self._ids
+    def __init__(self, table: CallTable):
+        self.table = table
+        self.ids: List[int] = []
+        self.rows = array("d")
 
     @property
     def columns(self) -> np.ndarray:
-        return self._block[:, : len(self._ids)]
+        return np.frombuffer(self.rows).reshape(-1, 5).T
 
     def __len__(self) -> int:
-        return len(self._ids)
-
-    def __getitem__(self, cid) -> Call:
-        return self._calls[cid]
+        return len(self.ids)
 
     def __iter__(self):
-        return iter(self._calls)
+        return iter(self.ids)
 
-    def __setitem__(self, cid, call: Call) -> None:
-        calls, ids = self._calls, self._ids
-        n = len(ids)
-        if cid in calls:
-            slot = bisect_left(ids, cid)
-        else:
-            if n == self._block.shape[1]:
-                self._grow()
-            if n == 0 or ids[-1] < cid:
-                slot = n
-                ids.append(cid)
-            else:  # out of id order: open a slot, keep the mapping in id order too
-                slot = bisect_left(ids, cid)
-                ids.insert(slot, cid)
-                self._block[:, slot + 1 : n + 1] = self._block[:, slot:n]
-                calls[cid] = call
-                calls = self._calls = {k: calls[k] for k in ids}
-        calls[cid] = call
-        self._block[:, slot] = call.table.floats[:5, call.row]
-
-    def pop(self, cid, default=_MISSING):
-        call = self._calls.pop(cid, _MISSING)
-        if call is _MISSING:
-            if default is _MISSING:
-                raise KeyError(cid)
-            return default
-        ids = self._ids
+    def __contains__(self, cid) -> bool:
+        ids = self.ids
         slot = bisect_left(ids, cid)
-        del ids[slot]
-        n = len(ids)
-        if slot < n:
-            self._block[:, slot:n] = self._block[:, slot + 1 : n + 1]
-        return call
+        return slot < len(ids) and ids[slot] == cid
 
-    def __delitem__(self, cid) -> None:
-        self.pop(cid)
+    def __getitem__(self, cid) -> Call:
+        if cid not in self:
+            raise KeyError(cid)
+        return self.table.view(cid)
 
-    def _grow(self) -> None:
-        block = np.empty((5, 2 * self._block.shape[1]))
-        block[:, : len(self._ids)] = self.columns
-        self._block = block
+    def values(self) -> List[Call]:
+        return list(map(self.table.view, self.ids))
+
+    def add(self, cid: int) -> None:
+        """Pool call `cid`; a call already pooled keeps its place."""
+        ids, t = self.ids, self.table
+        slot = len(ids)
+        if slot and cid <= ids[-1]:  # out of id order, or pooled again after a rejection
+            slot = bisect_left(ids, cid)
+            if ids[slot] == cid:
+                return
+        facts = (t.origin_x[cid], t.origin_y[cid], t.dest_x[cid], t.dest_y[cid], t.created_at[cid])
+        # `rows` changes first: a `BufferError` leaves the pool as it was
+        if slot == len(ids):  # calls arrive in id order
+            self.rows.extend(facts)
+        else:
+            self.rows[5 * slot : 5 * slot] = array("d", facts)
+        ids.insert(slot, cid)
+
+    def discard(self, cid: int) -> None:
+        """Remove call `cid` if it is pooled."""
+        ids = self.ids
+        slot = bisect_left(ids, cid)
+        if slot < len(ids) and ids[slot] == cid:
+            del self.rows[5 * slot : 5 * slot + 5]
+            del ids[slot]
 
 
 class FleetState:

@@ -145,7 +145,7 @@ class NearestPolicy(DispatchPolicy):
         pool = env.pool
         if not pool:
             return None
-        xs, ys = pool.columns[:2]
+        xs, ys = pool.columns[:2].copy()  # the compiled scan reads C-contiguous vectors only
         return pool.ids[nearest_index(xs, ys, *vehicle.location)]
 
 

@@ -82,6 +82,30 @@ def test_config_validation():
         AgentConfig(learning_rate=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("gamma", math.nan),
+    ("epsilon_max", math.nan),
+    ("epsilon_min", math.nan),
+    ("epsilon_factor", math.nan),
+    ("epsilon_factor", 2.0),
+    ("epsilon_factor", -1.0),
+    ("epsilon_factor", 0.0),
+    ("learning_rate", math.nan),
+    ("learning_starts", math.nan),
+    ("reward_bonus", math.nan),
+    ("reward_bonus", math.inf),
+    ("reward_bonus", -math.inf),
+])
+def test_config_refuses_nan_and_out_of_range_values(field, value):
+    with pytest.raises(ValueError):
+        AgentConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("epsilon_factor", 1.0), ("reward_bonus", -3.0)])
+def test_config_accepts_the_edges_of_its_ranges(field, value):
+    assert getattr(AgentConfig(**{field: value}), field) == value
+
+
 # -- replay buffer ---------------------------------------------------------------
 
 

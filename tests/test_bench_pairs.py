@@ -76,3 +76,26 @@ def test_probe_is_timed_before_each_run_and_kept_with_it(tmp_path, fake_runs):
 def test_probe_times_the_host():
     seconds = bench_pairs.probe()
     assert 0.0 < seconds < 60.0
+
+
+def _summary(parent, change, better="lower", bound=0.25):
+    runs = [{"workload": "w", "seed": seed, "side": side, "metrics": {"m": value}}
+            for side, values in (("parent", parent), ("change", change))
+            for seed, value in enumerate(values)]
+    metric = {"name": "m", "better": better, "bound": bound}
+    return bench_pairs.summarize(runs, [metric])["w"]["m"]
+
+
+def test_a_metric_is_unresolved_when_the_parent_spreads_wider_than_its_bound():
+    # parent quartiles 1.0, 1.5, 2.0: an IQR of 1.0 against a bound of 0.25 * 1.5
+    wide = [1.0, 1.0, 1.5, 2.0, 2.0]
+    assert _summary(wide, [1.5] * 5)["unresolved"]
+    assert _summary(wide, [1.5] * 5, better="higher")["unresolved"]
+    # every change run beats every parent run
+    assert not _summary(wide, [0.9] * 5)["unresolved"]
+    assert not _summary(wide, [2.1] * 5, better="higher")["unresolved"]
+    assert _summary(wide, [0.9] * 4 + [1.0])["unresolved"]  # a tie is no win
+    # a parent spread within the bound resolves every change, worse or not
+    narrow = [1.0, 1.05, 1.1, 1.15, 1.2]
+    assert not _summary(narrow, [5.0] * 5)["unresolved"]
+    assert not _summary(wide, [1.5] * 5, bound=1.0)["unresolved"]

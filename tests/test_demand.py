@@ -252,3 +252,9 @@ def test_stochastic_config_validation():
         StochasticConfig(tolerance_shape=0.0)
     with pytest.raises(ValueError):
         StochasticConfig(reject_beta=-1.0)
+
+
+@pytest.mark.parametrize("field", ["tolerance_shape", "tolerance_scale", "reject_alpha", "reject_beta"])
+def test_stochastic_config_refuses_nan(field):
+    with pytest.raises(ValueError, match=f"{field} must be strictly positive"):
+        StochasticConfig(**{field: float("nan")})

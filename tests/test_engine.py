@@ -348,7 +348,7 @@ class PoolThief(NearestPolicy):
 
     def choose_vehicle(self, env, c):
         if len(env.pool) == 2:
-            env.pool.pop(env.pool.ids[0])
+            env.pool.discard(env.pool.ids[0])
         return None
 
 
@@ -358,6 +358,21 @@ def test_audit_catches_a_pool_desync_made_behind_the_engines_back():
         simulate([vehicle(0, 0.5, 0.5)], calls, policy=PoolThief())
     calls = [call(i, float(i), 0.1, 0.1, 0.9, 0.9, wait=50.0) for i in range(4)]
     simulate([vehicle(0, 0.5, 0.5)], calls, policy=FixedVehiclePolicy(None))  # no theft, no error
+
+
+class PoolForger(NearestPolicy):
+    """Writes into the pool's copy of a call's origin."""
+
+    def choose_vehicle(self, env, c):
+        if len(env.pool) == 2:
+            env.pool.columns[0, 1] = 0.75
+        return None
+
+
+def test_audit_catches_a_pool_value_written_behind_the_engines_back():
+    calls = [call(i, float(i), 0.125, 0.125, 0.9, 0.9, wait=50.0) for i in range(4)]
+    with pytest.raises(AssertionError, match="pool values desync at t=2.0: call 1 differs from its row"):
+        simulate([vehicle(0, 0.5, 0.5)], calls, policy=PoolForger())
 
 
 def test_assigning_calls_to_an_environment_adopts_them():

@@ -11,6 +11,7 @@ from dispatchsim.entities import (
     EDGES,
     STATUSES,
     Call,
+    CallPool,
     CallStatus,
     CallTable,
     FleetState,
@@ -143,6 +144,23 @@ def test_call_rejects_a_non_finite_creation_time(created_at):
 def test_call_rejects_a_nan_tolerance():
     with pytest.raises(ValueError, match="call 6: max_wait must be positive, got nan"):
         make_call(id=6, max_wait=math.nan)
+
+
+def test_a_live_columns_view_blocks_pool_changes_and_leaves_the_pool_whole():
+    table = CallTable.adopt([make_call(id=i, created_at=float(i)) for i in range(3)])
+    pool = CallPool(table)
+    pool.add(1)
+    columns = pool.columns
+    for change in (lambda: pool.add(2), lambda: pool.add(0), lambda: pool.discard(1)):
+        with pytest.raises(BufferError):
+            change()
+        assert pool.ids == [1] and len(pool.rows) == 5
+    del columns
+    pool.add(2)
+    pool.add(0)
+    pool.discard(1)
+    assert pool.ids == [0, 2]
+    np.testing.assert_array_equal(pool.columns[4], [0.0, 2.0])
 
 
 def _assert_idle_index(state):

@@ -126,8 +126,11 @@ def test_free_vehicle_candidates_cover_pool():
         vehicle(1, 0.4, 0.6, busy=True, free_at=26.0, reject=0.25),  # free in 6 min
     ]
     env = _bare_env(fleet, clock=20.0)
-    for c in (call(3, 5.0, 0.6, 0.7, 0.1, 0.9), call(7, 12.0, 0.3, 0.2, 0.5, 0.4)):
-        env.pool[c.id] = c
+    day = [call(i) for i in range(8)]
+    day[3], day[7] = call(3, 5.0, 0.6, 0.7, 0.1, 0.9), call(7, 12.0, 0.3, 0.2, 0.5, 0.4)
+    env.calls = day
+    env.pool.add(3)
+    env.pool.add(7)
     ctx = list(context_features(env))
     calls = [[0.6, 0.7, 0.1, 0.9, 15.0], [0.3, 0.2, 0.5, 0.4, 8.0]]
     heads = [[0.2, 0.3, 0.2, 0.3, 0.0, 0.15, 1.0], [0.4, 0.6, 0.4, 0.6, 6.0, 0.25, 1.0]]

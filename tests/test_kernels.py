@@ -135,3 +135,19 @@ def test_compiled_scan_refuses_buffers_it_cannot_read_as_given(compiled):
 def test_implementation_label():
     assert IMPLEMENTATION in ("c", "python")
     assert (IMPLEMENTATION == "python") == (nearest_index is pure.nearest_index)
+
+
+def test_nearest_policy_reads_the_pool_through_the_compiled_scan(compiled, monkeypatch):
+    # the pool keeps five values per call, so its columns are strided views
+    import dispatchsim.policies as policies
+    from dispatchsim.engine import Environment
+    from dispatchsim.entities import Call, Vehicle
+    from dispatchsim.geometry import Coordinate
+
+    monkeypatch.setattr(policies, "nearest_index", compiled.nearest_index)
+    here = Coordinate(0.0, 0.5)
+    env = Environment([Vehicle(0, here, here)], speed=0.1, driver_rng=np.random.default_rng(0))
+    env.calls = [Call(i, float(i), Coordinate(x, 0.5), here, 60.0) for i, x in enumerate((0.9, 0.25, 0.5))]
+    for cid in (2, 0, 1):
+        env.pool.add(cid)
+    assert policies.NearestPolicy().choose_call(env, env.fleet[0]) == 1

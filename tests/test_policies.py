@@ -155,8 +155,9 @@ def test_random_choose_frequencies():
 def _env(vehicles, pool_calls, clock=0.0):
     env = Environment(vehicles, speed=0.1, driver_rng=np.random.default_rng(0))
     env.clock = clock
+    env.calls = pool_calls  # the pool holds rows of the day's calls
     for c in pool_calls:
-        env.pool[c.id] = c
+        env.pool.add(c.id)
     return env
 
 
@@ -303,26 +304,32 @@ def _pool_columns(pool_dict):
 @pytest.mark.parametrize("seed", range(20))
 def test_call_pool_matches_a_dict(seed):
     r = random.Random(seed)
-    env = _env([vehicle(0, 0.5, 0.5)], [])
-    ref = {}
-    next_id = 0
 
     def grid():  # multiples of 1/8, so nearest-call distances tie
         return r.randrange(9) / 8
+
+    # 300 steps add at most 2 ids each; the absent id above them is a row too
+    calls = [call(cid, r.randrange(100) / 4, grid(), grid(), grid(), grid()) for cid in range(602)]
+    env = _env([vehicle(0, 0.5, 0.5)], [])
+    env.calls = calls
+    ref = {}
+    next_id = 0
 
     for _ in range(300):
         op = r.random()
         if op < 0.45:  # in order: above every id seen so far
             cid = next_id = next_id + r.randrange(1, 3)
-        elif op < 0.65:  # out of order, or a re-set of a pooled id
+        elif op < 0.65:  # out of order, or a re-add of a pooled id
             cid = r.randrange(next_id + 1)
-        else:  # pop a present or an absent id
+        else:  # discard a present or an absent id
             cid = r.randrange(next_id + 2)
-            assert env.pool.pop(cid, None) is ref.pop(cid, None)
+            assert (cid in env.pool) == (cid in ref)
+            env.pool.discard(cid)
+            ref.pop(cid, None)
             cid = None
         if cid is not None:
-            c = call(cid, r.randrange(100) / 4, grid(), grid(), grid(), grid())
-            env.pool[cid] = ref[cid] = c
+            env.pool.add(cid)
+            ref[cid] = calls[cid]
         pool = env.pool
         assert len(pool) == len(ref) and bool(pool) == bool(ref)
         assert list(pool) == pool.ids == sorted(ref)
@@ -337,17 +344,24 @@ def test_call_pool_matches_a_dict(seed):
         assert FifoPolicy().choose_call(env, v) == fifo_choose_call(times)
         assert LifoPolicy().choose_call(env, v) == lifo_choose_call(times)
     with pytest.raises(KeyError):
-        env.pool.pop(next_id + 1)
+        env.pool[next_id + 1]
 
 
 def test_assigning_a_dict_to_the_pool_converts_it():
     env = _env([vehicle(0, 0.0, 0.0)], [])
-    calls = {7: call(7, 5.0, 0.75, 0.0), 3: call(3, 5.0, 0.625, 0.0), 9: call(9, 2.0, 0.375, 0.0)}
+    day = [call(i, 1.0, 0.0, 0.5) for i in range(10)]
+    day[7], day[3], day[9] = call(7, 5.0, 0.75, 0.0), call(3, 5.0, 0.625, 0.0), call(9, 2.0, 0.375, 0.0)
+    env.calls = day
+    calls = {7: day[7], 3: day[3], 9: day[9]}
     env.pool = calls
     assert isinstance(env.pool, CallPool)
     assert list(env.pool) == env.pool.ids == [3, 7, 9]
     np.testing.assert_array_equal(env.pool.columns, np.array(_pool_columns(calls)).T)
     assert NearestPolicy().choose_call(env, env.fleet[0]) == 9
-    pool = CallPool()
+    pool = CallPool(env.calls)
     env.pool = pool
     assert env.pool is pool
+    with pytest.raises(ValueError, match="call 4 is not a row"):
+        env.pool = {4: call(4, 1.0, 0.0, 0.5)}
+    with pytest.raises(ValueError, match="call 5 is not a row"):
+        env.pool = {5: day[6]}
