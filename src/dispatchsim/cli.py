@@ -6,7 +6,7 @@ import argparse
 import os
 import sys
 
-from .config import SCENARIO_RATIOS, ConfigError, Scenario, parse_config, parse_lines
+from .config import SCENARIO_RATIOS, ConfigError, Scenario, _validate, parse_config, parse_lines
 from .demand import DemandError
 from .harness import (
     demand_source_from_config,
@@ -29,6 +29,7 @@ def _load_config(args):
         cfg = parse_lines([])
     if args.seed is not None:
         cfg.values["seed"] = args.seed
+        _validate(cfg.values)  # the seed's range
     if args.out_dir is not None:
         cfg.values["out_dir"] = args.out_dir
     return cfg

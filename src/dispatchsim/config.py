@@ -82,6 +82,7 @@ _SCHEMA = {
 }
 
 _RANGES = {
+    "seed": lambda v: 0 <= v < 2**32,  # `substream` keeps a seed's low 32 bits
     "gamma": lambda v: 0.0 < v < 1.0,
     "epsilon_max": lambda v: 0.0 <= v <= 1.0,
     "epsilon_min": lambda v: 0.0 <= v <= 1.0,
@@ -229,6 +230,9 @@ def _validate(values: Dict[str, object]) -> None:
     for s in values["scenarios"].split(","):
         if s.strip() and s.strip() not in SCENARIO_RATIOS:
             raise ConfigError(f"unknown scenario {s.strip()!r}")
+    for key in ("policies", "scenarios"):
+        if not values[key].replace(",", "").strip():
+            raise ConfigError(f"key {key!r} is empty")
 
 
 def parse_config(path) -> ExperimentConfig:

@@ -11,6 +11,7 @@ fixed hold.
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
@@ -22,7 +23,7 @@ from .demand import StochasticConfig, sample_rejection_prob
 from .entities import ASSIGNED, CANCELED, COMPLETED, PICKED_UP, WAITING
 from .entities import Call, CallPool, CallTable, FleetState, Vehicle
 from .events import EventQueue
-from .geometry import BoundingBox, travel_time
+from .geometry import BoundingBox
 
 REPOSITION_HOLD_MIN = 5.0
 DEMAND_WINDOW_MIN = 15.0
@@ -73,6 +74,8 @@ class Environment:
         audit: bool = False,
         trace: Optional[list] = None,
     ):
+        if not (math.isfinite(speed) and speed > 0.0):
+            raise ValueError(f"vehicle speed must be finite and positive, got {speed}")
         self.fleet = fleet
         self.fleet_state = FleetState.adopt(fleet)
         self.speed = speed
@@ -134,74 +137,69 @@ class Environment:
 
     # -- assignment protocol ------------------------------------------------
 
-    def propose_assignment(
-        self, vehicle: Vehicle, call: Call
-    ) -> Tuple[ProposalOutcome, float, float]:
-        """Run the dual-acceptance protocol; returns (outcome, eta, drive)."""
-        table, row = call.table, call.row
-        ox, oy = table.origin_x[row], table.origin_y[row]
-        dx, dy = table.dest_x[row], table.dest_y[row]
-        vid = vehicle.id
+    def propose_assignment(self, vid: int, cid: int) -> Tuple[ProposalOutcome, float, float]:
+        """Run the dual-acceptance protocol for vehicle `vid` and call `cid`; returns (outcome, eta, drive)."""
+        calls = self.calls
+        ox, oy = calls.origin_x[cid], calls.origin_y[cid]
+        dx, dy = calls.dest_x[cid], calls.dest_y[cid]
         state = self.fleet_state
         x, y, dest_x, dest_y, free_at, reject_prob = state.columns
         # the L1 distances below are `manhattan_distance`'s
-        eta = travel_time(abs(x[vid] - ox) + abs(y[vid] - oy), self.speed)
-        drive = travel_time(abs(ox - dx) + abs(oy - dy), self.speed)
+        eta = (abs(x[vid] - ox) + abs(y[vid] - oy)) / self.speed
+        drive = (abs(ox - dx) + abs(oy - dy)) / self.speed
         if self.driver_rng.random() < reject_prob[vid]:
             return ProposalOutcome.DRIVER_REJECTED, eta, drive
-        if self.clock + eta - table.created_at[row] > table.max_wait[row]:
+        if self.clock + eta - calls.created_at[cid] > calls.max_wait[cid]:
             return ProposalOutcome.CUSTOMER_REJECTED, eta, drive
         # accepted: commit the assignment and schedule the pickup leg
-        self.pool.discard(call.id)
-        table.set_status(row, ASSIGNED)
-        table.assigned_vehicle[row] = vid
-        table.assigned_at[row] = self.clock
+        self.pool.discard(cid)
+        calls.set_status(cid, ASSIGNED)
+        calls.assigned_vehicle[cid] = vid
+        calls.assigned_at[cid] = self.clock
         state.set_busy(vid, True)
         dest_x[vid], dest_y[vid] = dx, dy
         free_at[vid] = self.clock + eta + drive
-        self.queue.push(self.clock + eta, ev.ARRIVAL_AT_ORIGIN, vid, call.id, self.clock)
+        self.queue.push(self.clock + eta, ev.ARRIVAL_AT_ORIGIN, vid, cid, self.clock)
         return ProposalOutcome.ACCEPTED, eta, drive
 
-    def _after_rejection(self, vid: int, call: Call) -> None:
-        self.pool.add(call.id)
+    def _after_rejection(self, vid: int, cid: int) -> None:
+        self.pool.add(cid)
         self.queue.push(
             self.clock + REPOSITION_HOLD_MIN, ev.REPOSITION_TIMEOUT, vid, -1, self.clock
         )
 
     # -- event handlers ------------------------------------------------------
-    # Vehicles are named by id; their state is read and written in the
-    # `fleet_state` columns.
+    # Calls and vehicles are named by id; their state is read and written
+    # in the `calls` and `fleet_state` columns.
 
-    def handle_new_call(self, call: Call) -> None:
-        table, row = call.table, call.row
-        created_at = table.created_at[row]
+    def handle_new_call(self, cid: int) -> None:
+        calls = self.calls
+        created_at = calls.created_at[cid]
         # the call's deadline is armed when it arrives, before any outcome
-        self.queue.push(created_at + table.max_wait[row], ev.CANCELLATION, call.id, -1, self.clock)
+        self.queue.push(created_at + calls.max_wait[cid], ev.CANCELLATION, cid, -1, self.clock)
         self.metrics.calls_created += 1
         self.recent_arrivals.append(created_at)
-        vid = self.new_call_policy.choose_vehicle(self, call) if self.fleet else None
+        vid = self.new_call_policy.choose_vehicle(self, calls.view(cid)) if self.fleet else None
         if vid is None or not self.fleet_state.idle_flags[vid]:
-            self.pool.add(call.id)
+            self.pool.add(cid)
             return
-        outcome, eta, drive = self.propose_assignment(self.fleet[vid], call)
+        outcome, eta, drive = self.propose_assignment(vid, cid)
         self.new_call_policy.on_proposal_outcome(self, "new_call", outcome, eta, drive)
         if outcome is not ProposalOutcome.ACCEPTED:
-            self._after_rejection(vid, call)
+            self._after_rejection(vid, cid)
 
     def handle_free_vehicle(self, vid: int) -> None:
         if not (self.fleet_state.idle_flags[vid] and self.pool):
             return
-        vehicle = self.fleet[vid]
-        cid = self.free_vehicle_policy.choose_call(self, vehicle)
+        cid = self.free_vehicle_policy.choose_call(self, self.fleet[vid])
         if cid is None:
             return
-        call = self.calls.view(cid)
-        outcome, eta, drive = self.propose_assignment(vehicle, call)
+        outcome, eta, drive = self.propose_assignment(vid, cid)
         self.free_vehicle_policy.on_proposal_outcome(
             self, "free_vehicle", outcome, eta, drive
         )
         if outcome is not ProposalOutcome.ACCEPTED:
-            self._after_rejection(vid, call)
+            self._after_rejection(vid, cid)
 
     def fire_cancellation(self, cid: int) -> None:
         calls = self.calls
@@ -221,7 +219,7 @@ class Environment:
         ox, oy = calls.origin_x[cid], calls.origin_y[cid]
         x, y = self.fleet_state.columns[:2]
         x[vid], y[vid] = ox, oy
-        drive = travel_time(abs(ox - calls.dest_x[cid]) + abs(oy - calls.dest_y[cid]), self.speed)
+        drive = (abs(ox - calls.dest_x[cid]) + abs(oy - calls.dest_y[cid])) / self.speed
         self.queue.push(self.clock + drive, ev.ARRIVAL_AT_DESTINATION, vid, cid, self.clock)
 
     def handle_arrival_at_destination(self, vid: int, cid: int) -> None:
@@ -240,7 +238,6 @@ class Environment:
 
     def run(self) -> DayMetrics:
         pop = self.queue.pop
-        view = self.calls.view
         while True:
             event = pop()
             if event is None:
@@ -258,7 +255,7 @@ class Environment:
                     f"queue={len(self.queue)}, pool={len(self.pool)}"
                 )
             if kind == ev.NEW_CALL:
-                self.handle_new_call(view(id_a))
+                self.handle_new_call(id_a)
             elif kind == ev.FREE_VEHICLE:
                 self.handle_free_vehicle(id_a)
             elif kind == ev.CANCELLATION:

@@ -43,23 +43,13 @@ def _vehicle_block(store, rows: slice, n: int, clock: float) -> np.ndarray:
     return out
 
 
-def _call_tail(call: Call, clock: float, context) -> tuple:
-    """Columns 7-14 for one call: origin, destination, the waiting time so far in minutes, the context."""
-    return (*call.origin, *call.destination, clock - call.created_at, *context)
-
-
-def featurize(vehicle: Vehicle, call: Call, clock: float, context) -> np.ndarray:
-    """One candidate pair to its 15-feature vector."""
-    out = _vehicle_block(vehicle.store, slice(vehicle.row, vehicle.row + 1), 1, clock)
-    out[:, 7:] = _call_tail(call, clock, context)
-    return out[0]
-
-
 def new_call_candidates(env, call: Call) -> Tuple[np.ndarray, List[int]]:
     """Feature matrix over the whole fleet for a new-call epoch."""
     n = len(env.fleet)
     out = _vehicle_block(env.fleet_state, slice(None), n, env.clock)
-    out[:, 7:] = _call_tail(call, env.clock, context_features(env))
+    # origin, destination, the waiting time so far in minutes, the context
+    out[:, 7:] = (*call.origin, *call.destination, env.clock - call.created_at,
+                  *context_features(env))
     return out, list(range(n))
 
 

@@ -1,10 +1,9 @@
 """Dispatch policies: the decision interface plus the heuristic baselines.
 
-The choice rules (`fifo_choose_call`, `lifo_choose_call`, `nn_choose`,
-`random_choose`) are pure functions over lightweight snapshots so they can
-be audited against brute-force oracles.  The FIFO, LIFO and nearest
-policy classes read the fleet and pool columns instead, and the tests hold
-them to these rules.
+The baselines read the fleet and pool columns: FIFO and LIFO pick the
+waiting call with the earliest and the latest `created_at`, the nearest
+policy the call (or idle vehicle) at the least L1 distance, and ties go
+to the lowest id.  The tests hold these three to brute-force oracles.
 
 FIFO and LIFO are call-selection rules; at new-call epochs (which pick a
 vehicle) they fall back to the nearest idle vehicle, so all baselines are
@@ -14,52 +13,12 @@ runnable in both epochs.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .entities import Call, Vehicle
 from .kernels import nearest_index, nearest_index_masked
-
-# snapshot rows: (id, created_at) for time-ordered rules,
-#                (id, x, y) for the distance rule
-TimeEntry = Tuple[int, float]
-LocEntry = Tuple[int, float, float]
-
-
-def fifo_choose_call(snapshot: Sequence[TimeEntry]) -> Optional[int]:
-    """Longest-waiting call: minimal created_at, ties by lowest id."""
-    if not snapshot:
-        return None
-    return min(snapshot, key=lambda e: (e[1], e[0]))[0]
-
-
-def lifo_choose_call(snapshot: Sequence[TimeEntry]) -> Optional[int]:
-    """Most recent call: maximal created_at, ties by lowest id."""
-    if not snapshot:
-        return None
-    return min(snapshot, key=lambda e: (-e[1], e[0]))[0]
-
-
-def nn_choose(snapshot: Sequence[LocEntry], anchor: Tuple[float, float]) -> Optional[int]:
-    """Candidate with minimal L1 distance to the anchor, ties by lowest id."""
-    if not snapshot:
-        return None
-    best_id = None
-    best_d = float("inf")
-    for cid, x, y in snapshot:
-        d = abs(x - anchor[0]) + abs(y - anchor[1])
-        if d < best_d or (d == best_d and cid < best_id):
-            best_d = d
-            best_id = cid
-    return best_id
-
-
-def random_choose(ids: Sequence[int], rng: np.random.Generator) -> Optional[int]:
-    """Uniform choice over the candidate ids, reproducible per stream."""
-    if not ids:
-        return None
-    return ids[int(rng.integers(len(ids)))]
 
 
 class DispatchPolicy:
@@ -119,7 +78,7 @@ class FifoPolicy(DispatchPolicy):
 
     def choose_call(self, env, vehicle):
         # the columns are id-ordered and argmin takes the first minimum,
-        # so ties go to the lowest id, as in fifo_choose_call
+        # so ties go to the lowest id
         pool = env.pool
         return pool.ids[int(pool.columns[4].argmin())] if pool else None
 
@@ -163,11 +122,8 @@ class RandomPolicy(DispatchPolicy):
         return int(self.rng.integers(len(env.fleet)))
 
     def choose_call(self, env, vehicle):
-        return random_choose(env.pool.ids, self.rng)
-
-
-BASELINE_POLICIES = ("fifo", "lifo", "nn", "random")
-POLICY_NAMES = BASELINE_POLICIES + ("dqn",)
+        ids = env.pool.ids
+        return ids[int(self.rng.integers(len(ids)))] if ids else None
 
 
 def make_baseline(name: str, rng: Optional[np.random.Generator] = None) -> DispatchPolicy:

@@ -16,8 +16,8 @@ import pytest
 from dispatchsim.agent import AgentConfig, DQNAgent, Transition, discounted_reward
 from dispatchsim.config import parse_lines, serialize
 from dispatchsim.demand import StochasticConfig, sample_tolerance
-from dispatchsim.engine import build_fleet, run_day
-from dispatchsim.entities import ALLOWED_TRANSITIONS, Call, CallStatus
+from dispatchsim.engine import Environment, build_fleet, run_day
+from dispatchsim.entities import ALLOWED_TRANSITIONS, Call, CallPool, CallStatus, CallTable, Vehicle
 from dispatchsim.geometry import Coordinate
 from dispatchsim.harness import (
     demand_source_from_config,
@@ -25,12 +25,7 @@ from dispatchsim.harness import (
     run_evaluation,
     run_training,
 )
-from dispatchsim.policies import (
-    fifo_choose_call,
-    lifo_choose_call,
-    make_baseline,
-    nn_choose,
-)
+from dispatchsim.policies import FifoPolicy, LifoPolicy, NearestPolicy, make_baseline
 from dispatchsim.qnet import QNetwork, load_checkpoint, save_checkpoint
 from dispatchsim.rng import substream
 
@@ -89,6 +84,11 @@ def test_conservation_and_lifecycle_over_1000_random_days():
 
 def test_baseline_choices_match_brute_force_on_10k_snapshots():
     rng = np.random.default_rng(4242)
+    env = Environment([Vehicle(0, Coordinate(0.0, 0.0), Coordinate(0.0, 0.0))], speed=0.1,
+                      driver_rng=np.random.default_rng(0))
+    env.calls = table = CallTable(10_000)  # each snapshot writes its rows and is pooled afresh
+    vehicle = env.fleet[0]
+    fifo, lifo, nn = FifoPolicy(), LifoPolicy(), NearestPolicy()
     mismatches = 0
     for _ in range(10_000):
         n = int(rng.integers(1, 101))
@@ -100,15 +100,20 @@ def test_baseline_choices_match_brute_force_on_10k_snapshots():
 
         time_snap = list(zip((int(i) for i in ids), times))
         loc_snap = list(zip((int(i) for i in ids), xs, ys))
+        table.floats[0, ids], table.floats[1, ids], table.floats[4, ids] = xs, ys, times
+        env.pool = CallPool(table)
+        for cid in sorted(ids.tolist()):
+            env.pool.add(cid)
+        vehicle.location = Coordinate(float(ax), float(ay))
 
-        if fifo_choose_call(time_snap) != min(time_snap, key=lambda e: (e[1], e[0]))[0]:
+        if fifo.choose_call(env, vehicle) != min(time_snap, key=lambda e: (e[1], e[0]))[0]:
             mismatches += 1
-        if lifo_choose_call(time_snap) != min(time_snap, key=lambda e: (-e[1], e[0]))[0]:
+        if lifo.choose_call(env, vehicle) != min(time_snap, key=lambda e: (-e[1], e[0]))[0]:
             mismatches += 1
         brute = min(
             loc_snap, key=lambda e: (abs(e[1] - ax) + abs(e[2] - ay), e[0])
         )[0]
-        if nn_choose(loc_snap, (ax, ay)) != brute:
+        if nn.choose_call(env, vehicle) != brute:
             mismatches += 1
     assert mismatches == 0
 

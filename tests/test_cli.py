@@ -78,6 +78,30 @@ def test_seed_override(cfg_file, capsys):
     assert "seed=77" in out
 
 
+@pytest.mark.parametrize("seed", ["-5", "4294967296", "4294967303"])
+def test_seed_override_outside_32_bits_exits_2(cfg_file, capsys, seed):
+    # -5 and 4294967291 (and 7 and 4294967303) used to print the same day
+    rc = main(["simulate", "--config", str(cfg_file), "--seed", seed])
+    assert rc == 2
+    assert f"error: key 'seed': value {seed} out of range" in capsys.readouterr().err
+
+
+def test_config_seed_outside_32_bits_exits_2(cfg_file, capsys):
+    cfg_file.write_text(cfg_file.read_text() + "seed=-5\n")
+    assert main(["simulate", "--config", str(cfg_file)]) == 2
+    assert "error: key 'seed': value -5 out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb, line", [("train", "scenarios="), ("evaluate", "policies=")])
+def test_empty_scenario_or_policy_list_exits_2(cfg_file, tmp_path, capsys, verb, line):
+    # before, train ran 0 days and evaluate wrote a header-only report, both exiting 0
+    cfg_file.write_text(cfg_file.read_text() + line + "\n")
+    out_dir = tmp_path / "out"
+    assert main([verb, "--config", str(cfg_file), "--out-dir", str(out_dir)]) == 2
+    assert f"error: key '{line[:-1]}' is empty" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("gamma=2.0\n")

@@ -63,6 +63,25 @@ def test_bad_enumerations_rejected():
         parse_lines(["scenarios=impossible"])
 
 
+@pytest.mark.parametrize("seed", [-5, -1, 2**32, 4294967291 + 2**32])
+def test_seed_outside_32_bits_is_rejected(seed):
+    # `substream` keeps a seed's low 32 bits, so -5 would alias 4294967291
+    with pytest.raises(ConfigError, match=f"key 'seed': value {seed} out of range"):
+        parse_lines([f"seed={seed}"])
+
+
+def test_seed_range_ends_are_accepted():
+    assert parse_lines(["seed=0"]).seed == 0
+    assert parse_lines([f"seed={2**32 - 1}"]).seed == 2**32 - 1
+
+
+@pytest.mark.parametrize("line", ["policies=", "scenarios=", "policies= , ", "scenarios=,"])
+def test_empty_policy_or_scenario_list_is_rejected(line):
+    key = line.split("=")[0]
+    with pytest.raises(ConfigError, match=f"key '{key}' is empty"):
+        parse_lines([line])
+
+
 def test_degenerate_box_rejected():
     with pytest.raises(ConfigError, match="bounding box"):
         parse_lines(["box_x_min=1.0", "box_x_max=1.0"])

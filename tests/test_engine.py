@@ -118,26 +118,35 @@ def test_customer_rejection_inequality():
     v = vehicle(0, 0.3, 0.0)  # eta = 3 min at speed 0.1
     env = Environment([v], speed=0.1, driver_rng=np.random.default_rng(0))
     c = call(0, 0.0, 0.0, 0.0, 0.5, 0.5, wait=7.0)
+    env.calls = [c]
     env.clock = 5.0
-    outcome, eta, _ = env.propose_assignment(v, c)
+    outcome, eta, _ = env.propose_assignment(0, 0)
     assert outcome is ProposalOutcome.CUSTOMER_REJECTED  # 5 + 3 > 7
     assert math.isclose(eta, 3.0)
 
     # boundary: projected wait exactly equal to the tolerance is accepted
     v2 = vehicle(0, 0.2, 0.0)
     env2 = Environment([v2], speed=0.1, driver_rng=np.random.default_rng(0))
+    env2.calls = [c]
     env2.clock = 5.0
-    outcome2, _, _ = env2.propose_assignment(v2, c)
+    outcome2, _, _ = env2.propose_assignment(0, 0)
     assert outcome2 is ProposalOutcome.ACCEPTED  # 5 + 2 == 7
 
 
 def test_reject_prob_one_always_driver_rejects():
     v = vehicle(0, 0.0, 0.0, reject=1.0)
     env = Environment([v], speed=0.1, driver_rng=np.random.default_rng(1))
+    env.calls = [call(i, 0.0, 0.0, 0.0, 0.1, 0.1, wait=100.0) for i in range(20)]
     for i in range(20):
-        c = call(i, 0.0, 0.0, 0.0, 0.1, 0.1, wait=100.0)
-        outcome, _, _ = env.propose_assignment(v, c)
+        outcome, _, _ = env.propose_assignment(0, i)
         assert outcome is ProposalOutcome.DRIVER_REJECTED
+
+
+@pytest.mark.parametrize("speed", [math.nan, math.inf, 0.0, -1.0])
+def test_a_speed_that_is_not_finite_and_positive_is_refused(speed):
+    # before, nan died mid-day with a CausalityError and inf ran zero-length trips
+    with pytest.raises(ValueError, match=f"speed must be finite and positive, got {speed}"):
+        simulate([vehicle(0, 0.0, 0.0)], [call(0, 0.0, 0.5, 0.5, 0.6, 0.6, wait=10.0)], speed=speed)
 
 
 def test_cancellation_fires_exactly_at_tolerance():
@@ -457,3 +466,23 @@ def test_event_trace_digest_is_pinned(name):
     trace = []
     run_day(fleet, calls, policy, policy, speed=0.05, driver_rng=np.random.default_rng(45), trace=trace)
     assert hashlib.sha256("\n".join(trace).encode()).hexdigest() == TRACE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["nn", "fifo"])
+def test_the_only_call_views_are_the_new_call_epochs(name, monkeypatch):
+    cfg = parse_lines(["seed=3", "daily_calls=400"])
+    rng = np.random.default_rng(31)
+    calls = build_calls(demand_source_from_config(cfg, 400), cfg, 2, 400, rng, rng)
+    fleet = build_fleet(4, StochasticConfig(), np.random.default_rng(32), np.random.default_rng(33))
+    views = 0
+    view = CallTable.view
+
+    def counted_view(table, row):
+        nonlocal views
+        views += 1
+        return view(table, row)
+
+    monkeypatch.setattr(CallTable, "view", counted_view)
+    policy = make_baseline(name)
+    m = simulate(fleet, calls, policy=policy, speed=0.05, seed=35)
+    assert m.calls_created == 400 and views == m.calls_created

@@ -11,7 +11,6 @@ from dispatchsim.entities import Call, Vehicle
 from dispatchsim.features import (
     FEATURE_DIM,
     context_features,
-    featurize,
     free_vehicle_candidates,
     new_call_candidates,
 )
@@ -43,7 +42,10 @@ def call(i=0, t=0.0, ox=0.6, oy=0.7, dx=0.1, dy=0.9, wait=30.0):
 def test_idle_vehicle_feature_vector():
     v = vehicle(x=0.2, y=0.3, reject=0.15)
     c = call(t=4.0, ox=0.6, oy=0.7, dx=0.1, dy=0.9)
-    vec = featurize(v, c, clock=10.0, context=(1.0, 0.0, 1.0))
+    # no recent arrivals and the week's origin at t=10: the context is (1, 0, 1)
+    mat, ids = new_call_candidates(_bare_env([v], clock=10.0, offset=-10.0), c)
+    assert ids == [0]
+    vec = mat[0]
     assert vec.shape == (FEATURE_DIM,)
     assert vec.dtype == np.float32
     expected = [0.2, 0.3, 0.2, 0.3, 0.0, 0.15, 0.0,
@@ -54,7 +56,7 @@ def test_idle_vehicle_feature_vector():
 def test_busy_vehicle_time_to_free_and_flag():
     v = vehicle(busy=True, free_at=25.0)
     v.move_destination = Coordinate(0.8, 0.9)
-    vec = featurize(v, call(), clock=10.0, context=(2.0, 0.5, 0.5))
+    vec = new_call_candidates(_bare_env([v], clock=10.0), call())[0][0]
     assert vec[2] == np.float32(0.8)
     assert vec[3] == np.float32(0.9)
     assert vec[4] == np.float32(15.0)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispatchsim.engine import Environment, run_day
-from dispatchsim.entities import Call, CallPool, CallStatus, Vehicle
+from dispatchsim.entities import Call, CallPool, CallStatus, CallTable, Vehicle
 from dispatchsim.features import new_call_candidates
 from dispatchsim.geometry import Coordinate
 from dispatchsim.policies import (
@@ -17,11 +17,7 @@ from dispatchsim.policies import (
     LifoPolicy,
     NearestPolicy,
     RandomPolicy,
-    fifo_choose_call,
-    lifo_choose_call,
     make_baseline,
-    nn_choose,
-    random_choose,
     _nearest_idle_vehicle,
 )
 
@@ -59,40 +55,60 @@ loc_snapshots = st.lists(
 )
 
 
+def _snapshot_env(snapshot, anchor=(0.0, 0.0)):
+    """One idle vehicle at `anchor` and a pool of the snapshot's calls.
+
+    A snapshot row is (id, created_at) for the time-ordered rules or
+    (id, x, y), the call's origin, for the distance rule.
+    """
+    table = CallTable(max((e[0] for e in snapshot), default=-1) + 1)
+    for cid, *values in snapshot:
+        rows = [4] if len(values) == 1 else [0, 1]  # created_at, or origin x and y
+        table.floats[rows, cid] = values
+    env = _env([vehicle(0, *anchor)], [])
+    env.calls = table
+    for cid, *_ in snapshot:
+        env.pool.add(cid)
+    return env
+
+
+def choose_call(policy, snapshot, anchor=(0.0, 0.0)):
+    env = _snapshot_env(snapshot, anchor)
+    return policy.choose_call(env, env.fleet[0])
+
+
 @settings(max_examples=200)
 @given(time_snapshots)
 def test_fifo_matches_sort_oracle(snapshot):
-    assert fifo_choose_call(snapshot) == brute_fifo(snapshot)
+    assert choose_call(FifoPolicy(), snapshot) == brute_fifo(snapshot)
 
 
 @settings(max_examples=200)
 @given(time_snapshots)
 def test_lifo_matches_sort_oracle(snapshot):
-    assert lifo_choose_call(snapshot) == brute_lifo(snapshot)
+    assert choose_call(LifoPolicy(), snapshot) == brute_lifo(snapshot)
 
 
 @settings(max_examples=200)
 @given(loc_snapshots, st.floats(0, 10), st.floats(0, 10))
 def test_nn_matches_sort_oracle(snapshot, ax, ay):
-    assert nn_choose(snapshot, (ax, ay)) == brute_nn(snapshot, (ax, ay))
+    assert choose_call(NearestPolicy(), snapshot, (ax, ay)) == brute_nn(snapshot, (ax, ay))
 
 
 def test_empty_snapshots_yield_none():
-    assert fifo_choose_call([]) is None
-    assert lifo_choose_call([]) is None
-    assert nn_choose([], (0.0, 0.0)) is None
-    assert random_choose([], np.random.default_rng(0)) is None
+    for policy in (FifoPolicy(), LifoPolicy(), NearestPolicy(), RandomPolicy(np.random.default_rng(0))):
+        assert choose_call(policy, []) is None
 
 
 def test_fifo_lifo_tie_break_lowest_id():
     snap = [(7, 3.0), (2, 3.0), (9, 3.0)]
-    assert fifo_choose_call(snap) == 2
-    assert lifo_choose_call(snap) == 2
+    assert choose_call(FifoPolicy(), snap) == 2
+    assert choose_call(LifoPolicy(), snap) == 2
 
 
 def test_nn_tie_break_lowest_id():
     snap = [(8, 1.0, 0.0), (3, 0.0, 1.0), (5, 0.5, 0.5)]
-    assert nn_choose(snap, (0.0, 0.0)) == 3  # all distance 1
+    assert choose_call(NearestPolicy(), snap) == 3  # all distance 1
 
 
 def dyadic(lo, hi):
@@ -113,7 +129,8 @@ def dyadic(lo, hi):
 def test_nn_invariant_under_translation(snapshot, ax, ay, dx, dy):
     # dyadic coordinates so the shift is exact and preserves distance ties
     shifted = [(i, x + dx, y + dy) for i, x, y in snapshot]
-    assert nn_choose(snapshot, (ax, ay)) == nn_choose(shifted, (ax + dx, ay + dy))
+    nn = NearestPolicy()
+    assert choose_call(nn, snapshot, (ax, ay)) == choose_call(nn, shifted, (ax + dx, ay + dy))
 
 
 @settings(max_examples=100)
@@ -129,25 +146,26 @@ def test_nn_invariant_under_translation(snapshot, ax, ay, dx, dy):
 def test_fifo_lifo_invariant_under_time_shift(snapshot, dt):
     # integer times so the shift is exact and preserves ties
     shifted = [(i, t + dt) for i, t in snapshot]
-    assert fifo_choose_call(snapshot) == fifo_choose_call(shifted)
-    assert lifo_choose_call(snapshot) == lifo_choose_call(shifted)
+    for policy in (FifoPolicy(), LifoPolicy()):
+        assert choose_call(policy, snapshot) == choose_call(policy, shifted)
 
 
 @settings(max_examples=100)
 @given(time_snapshots)
 def test_choices_are_members(snapshot):
     ids = {e[0] for e in snapshot}
-    assert fifo_choose_call(snapshot) in ids
-    assert lifo_choose_call(snapshot) in ids
+    assert choose_call(FifoPolicy(), snapshot) in ids
+    assert choose_call(LifoPolicy(), snapshot) in ids
 
 
 def test_random_choose_frequencies():
-    rng = np.random.default_rng(42)
     ids = [10, 11, 12, 13]
+    env = _snapshot_env([(i, 0.0) for i in ids])
+    policy = RandomPolicy(np.random.default_rng(42))
     counts = {i: 0 for i in ids}
     n = 40_000
     for _ in range(n):
-        counts[random_choose(ids, rng)] += 1
+        counts[policy.choose_call(env, env.fleet[0])] += 1
     for i in ids:
         assert abs(counts[i] / n - 0.25) < 0.01
 
@@ -339,10 +357,12 @@ def test_call_pool_matches_a_dict(seed):
         v = env.fleet[0]
         v.location = Coordinate(grid(), grid())
         snapshot = [(c.id, c.origin.x, c.origin.y) for c in ref.values()]
-        assert NearestPolicy().choose_call(env, v) == nn_choose(snapshot, tuple(v.location))
         times = [(c.id, c.created_at) for c in ref.values()]  # quarter-minute grid: ties
-        assert FifoPolicy().choose_call(env, v) == fifo_choose_call(times)
-        assert LifoPolicy().choose_call(env, v) == lifo_choose_call(times)
+        got = [policy.choose_call(env, v) for policy in (NearestPolicy(), FifoPolicy(), LifoPolicy())]
+        if ref:
+            assert got == [brute_nn(snapshot, tuple(v.location)), brute_fifo(times), brute_lifo(times)]
+        else:
+            assert got == [None, None, None]
     with pytest.raises(KeyError):
         env.pool[next_id + 1]
 
