@@ -5,12 +5,21 @@ and a target network; the online network selects the best next candidate
 and the target network evaluates it.  Discounting is continuous-time:
 a transition observed after sojourn tau is discounted by gamma**tau
 (equivalently e**(-beta*tau) with beta = -ln(gamma)).
+
+Each agent's replay buffer keeps its transitions as columns, one row per
+slot (chosen feature row, reward, sojourn, terminal flag), plus one FIFO
+store of next-candidate rows that each slot indexes by first row and row
+count.  A minibatch is a fancy-indexed gather from those columns and one
+gather from the row store.  `Transition` is the unit a push takes and the
+view the test hooks `sample` and `snapshot` build; training never makes one
+per sample.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -74,6 +83,8 @@ def discounted_reward(reward: float, gamma: float, tau: float) -> float:
 
 @dataclass
 class Transition:
+    """One stored transition; what `ReplayBuffer` hands out is a copy of its columns."""
+
     state_action: np.ndarray  # chosen (state, action) feature vector
     reward: float
     sojourn: float
@@ -82,31 +93,130 @@ class Transition:
 
 
 class ReplayBuffer:
-    """Ring buffer, grown by appends to `capacity`: oldest-first eviction, uniform sampling."""
+    """Oldest-first eviction at `capacity` and uniform sampling, kept as columns.
+
+    Slot k holds one transition: `state_action[k]` (float32, as wide as the
+    first push), `reward[k]`, `sojourn[k]`, `terminal[k]`, and `row_start[k]`
+    and `row_count[k]`, which place its next-candidate rows in `rows`.  A
+    terminal slot has no rows.  The slot columns are allocated at the first
+    push and double as the buffer fills, up to `capacity` slots; slots fill
+    in push order, then the oldest is overwritten.  `rows` is one FIFO
+    float32 store: a push appends its rows at the tail and an eviction drops
+    the oldest slot's rows from the head.  When an append does not fit and
+    the live rows fill less than half of the store, they move down to its
+    start, else the store doubles.  `row_start` counts rows from the first
+    ever pushed; `rows[0]` is row `_row_base`.  `Transition` is only the
+    unit of `push` and the view `sample` and `snapshot` build on demand.
+    """
+
+    MIN_SLOTS = 256
 
     def __init__(self, capacity: int):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._items: List[Transition] = []
-        self._next = 0
         self.size = 0
+        self._next = 0  # the slot the next push writes
+        self.state_action: Optional[np.ndarray] = None
+        self.reward = self.sojourn = self.terminal = None
+        self.row_start = self.row_count = None
+        self.rows: Optional[np.ndarray] = None
+        self._row_base = self._head = self._tail = 0  # row numbers of rows[0], head, tail
 
     def push(self, item: Transition) -> None:
+        state_action = np.asarray(item.state_action, dtype=np.float32)
+        if self.state_action is None:
+            self._allocate(state_action.shape[-1])
+        width = self.state_action.shape[1]
+        if state_action.shape != (width,):
+            raise ValueError(f"state_action of shape {state_action.shape}, buffer holds {width}")
+        rows = None
+        if not item.terminal:
+            rows = np.asarray(item.next_candidates, dtype=np.float32)
+            if rows.ndim != 2 or rows.shape[1] != width:
+                raise ValueError(f"next_candidates of shape {rows.shape}, buffer holds {width}")
+        slot = self._next
         if self.size < self.capacity:
-            self._items.append(item)
+            if slot == len(self.reward):
+                self._grow_slots()
             self.size += 1
         else:
-            self._items[self._next] = item
-        self._next = (self._next + 1) % self.capacity
+            self._head += int(self.row_count[slot])  # the oldest slot's rows head the store
+        self.state_action[slot] = state_action
+        self.reward[slot] = item.reward
+        self.sojourn[slot] = item.sojourn
+        self.terminal[slot] = item.terminal
+        self.row_start[slot] = self._tail
+        self.row_count[slot] = 0 if rows is None else len(rows)
+        if rows is not None:
+            self._append_rows(rows)
+        self._next = (slot + 1) % self.capacity
+
+    def _allocate(self, width: int) -> None:
+        slots = min(self.capacity, self.MIN_SLOTS)
+        self.state_action = np.empty((slots, width), dtype=np.float32)
+        self.reward = np.empty(slots)
+        self.sojourn = np.empty(slots)
+        self.terminal = np.empty(slots, dtype=bool)
+        self.row_start = np.empty(slots, dtype=np.int64)
+        self.row_count = np.empty(slots, dtype=np.int64)
+        self.rows = np.empty((slots, width), dtype=np.float32)
+
+    def _grow_slots(self) -> None:
+        slots = min(self.capacity, 2 * len(self.reward))
+        for name in ("state_action", "reward", "sojourn", "terminal", "row_start", "row_count"):
+            old = getattr(self, name)
+            new = np.empty((slots, *old.shape[1:]), dtype=old.dtype)
+            new[: self.size] = old[: self.size]
+            setattr(self, name, new)
+
+    def _append_rows(self, rows: np.ndarray) -> None:
+        n = len(rows)
+        end = self._tail + n - self._row_base
+        if end > len(self.rows):
+            live = self._tail - self._head
+            head = self._head - self._row_base
+            if 2 * (live + n) <= len(self.rows):
+                self.rows[:live] = self.rows[head : head + live]
+            else:
+                store = np.empty((max(2 * len(self.rows), live + n), self.rows.shape[1]),
+                                 dtype=np.float32)
+                store[:live] = self.rows[head : head + live]
+                self.rows = store
+            self._row_base = self._head
+            end = live + n
+        self.rows[end - n : end] = rows
+        self._tail += n
+
+    def sample_slots(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """`n` slots drawn uniformly, with replacement, from one `rng` call."""
+        return rng.integers(0, self.size, size=n)
+
+    def candidate_rows(self, slots: np.ndarray) -> np.ndarray:
+        """The next-candidate rows of `slots`, slot after slot, in one gather."""
+        counts = self.row_count[slots]
+        firsts = self.row_start[slots] - self._row_base
+        offsets = np.cumsum(counts) - counts  # where each slot's rows begin in the result
+        return self.rows[np.arange(counts.sum()) + np.repeat(firsts - offsets, counts)]
+
+    def _view(self, slot: int) -> Transition:
+        terminal = bool(self.terminal[slot])
+        return Transition(
+            state_action=self.state_action[slot].copy(),
+            reward=float(self.reward[slot]),
+            sojourn=float(self.sojourn[slot]),
+            next_candidates=None if terminal else self.candidate_rows(np.array([slot])),
+            terminal=terminal,
+        )
 
     def sample(self, n: int, rng: np.random.Generator) -> List[Transition]:
-        idx = rng.integers(0, self.size, size=n)
-        return [self._items[i] for i in idx]
+        """`n` transitions drawn as `train_step` draws its minibatch (test hook)."""
+        return [self._view(slot) for slot in self.sample_slots(n, rng).tolist()]
 
     def snapshot(self) -> List[Transition]:
         """Contents oldest-first (test hook)."""
-        return self._items[self._next :] + self._items[: self._next]
+        order = [*range(self._next, self.size), *range(self._next)]
+        return [self._view(slot) for slot in order]
 
 
 class DQNAgent:
@@ -136,10 +246,10 @@ class DQNAgent:
         self._armed: Optional[tuple] = None  # (state_action, clock) awaiting an outcome
         self._pending: Optional[tuple] = None  # (state_action, reward, clock) awaiting next
 
-        # learning-curve samples
-        self.reward_history: List[float] = []
-        self.q_history: List[float] = []
-        self.loss_history: List[float] = []
+        # learning-curve samples, 8 bytes each
+        self.reward_history = array("d")
+        self.q_history = array("d")
+        self.loss_history = array("d")
 
     # -- action selection -------------------------------------------------------
 
@@ -174,7 +284,7 @@ class DQNAgent:
                 state_action=state_action,
                 reward=reward,
                 sojourn=max(clock - start, MIN_SOJOURN),
-                next_candidates=None if terminal else candidates.copy(),
+                next_candidates=candidates,  # the buffer copies the rows
                 terminal=terminal,
             )
         )
@@ -219,16 +329,18 @@ class DQNAgent:
         once, a segment argmax picks each sample's first best row, and the
         target network evaluates the picked rows.
         """
-        if self.buffer.size < self.cfg.learning_starts:
+        buf = self.buffer
+        if buf.size < self.cfg.learning_starts:
             return None
-        batch = self.buffer.sample(self.cfg.batch_size, self.explore_rng)
-        x = np.stack([t.state_action for t in batch])
-        y = np.array([t.reward for t in batch], dtype=np.float32)
-        live = [i for i, t in enumerate(batch) if not t.terminal]
-        if live:
-            rows = np.concatenate([batch[i].next_candidates for i in live])
-            sizes = [len(batch[i].next_candidates) for i in live]
-            starts = np.cumsum([0] + sizes[:-1])
+        slots = buf.sample_slots(self.cfg.batch_size, self.explore_rng)
+        x = buf.state_action[slots]
+        y = buf.reward[slots].astype(np.float32)
+        live = np.flatnonzero(~buf.terminal[slots])
+        if len(live):
+            live_slots = slots[live]
+            rows = buf.candidate_rows(live_slots)
+            sizes = buf.row_count[live_slots]
+            starts = np.cumsum(sizes) - sizes
             q_online = self.online.forward(rows)
             seg_max = np.repeat(np.maximum.reduceat(q_online, starts), sizes)
             n = len(q_online)
@@ -237,9 +349,15 @@ class DQNAgent:
                 np.where(q_online == seg_max, np.arange(n), n), starts
             )
             q_eval = self.target.forward(rows[best])
-            for i, q in zip(live, q_eval.tolist()):
-                t = batch[i]
-                y[i] = t.reward + self.cfg.gamma**t.sojourn * q
+            # Python floats: numpy's array ** differs from the scalar pow in the last bit
+            gamma = self.cfg.gamma
+            for i, reward, sojourn, q in zip(
+                live.tolist(),
+                buf.reward[live_slots].tolist(),
+                buf.sojourn[live_slots].tolist(),
+                q_eval.tolist(),
+            ):
+                y[i] = reward + gamma**sojourn * q
         loss = self.online.train_batch(x, y, self.cfg.learning_rate)
         self.loss_history.append(loss)
         self.gradient_steps += 1

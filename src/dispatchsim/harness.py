@@ -149,7 +149,7 @@ def fresh_dqn_policy(cfg: ExperimentConfig, seed: int) -> DQNPolicy:
 # -- training ------------------------------------------------------------------
 
 
-def _per_thousand_means(series: List[float]) -> List[float]:
+def _per_thousand_means(series: Sequence[float]) -> List[float]:
     return [
         float(np.mean(series[i : i + 1000])) for i in range(0, len(series), 1000)
     ]
@@ -359,6 +359,18 @@ def _write_lines(path, lines: List[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _check_per_day_row(created: int, served: int, canceled: int, **metrics: float) -> None:
+    """Refuse counts and metric values that no simulated day can produce."""
+    for name, count in (("created", created), ("served", served), ("canceled", canceled)):
+        if count < 0:
+            raise ValueError(f"{name} count {count} is negative")
+    if served + canceled > created:
+        raise ValueError(f"served {served} plus canceled {canceled} exceed created {created}")
+    for name, value in metrics.items():
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} {value} is not finite and non-negative")
+
+
 def recompute_report_from_per_day_csv(path) -> List[ReportRow]:
     """Re-aggregate a per-day CSV; used by the `report` CLI verb."""
     metrics: List[DayMetrics] = []
@@ -374,7 +386,11 @@ def recompute_report_from_per_day_csv(path) -> List[ReportRow]:
                 raise ValueError(f"{path}: line {lineno}: expected 10 fields, got {len(parts)}")
             try:
                 created, served, canceled, seed = (int(parts[i]) for i in (3, 4, 5, 9))
-                avg_delay, service = float(parts[6]), float(parts[8])
+                avg_delay, cancel_rate, service = (float(parts[i]) for i in (6, 7, 8))
+                _check_per_day_row(
+                    created, served, canceled,
+                    avg_delay_min=avg_delay, cancel_rate=cancel_rate, total_service_min=service,
+                )
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
             m = DayMetrics(parts[1], parts[2], seed, created, served, canceled)

@@ -2,12 +2,15 @@
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dispatchsim import agent as agent_module
+from dispatchsim import harness
 from dispatchsim.agent import (
     MIN_SOJOURN,
     AgentConfig,
@@ -17,6 +20,7 @@ from dispatchsim.agent import (
     discounted_reward,
     plain_reward,
 )
+from dispatchsim.config import parse_lines
 from dispatchsim.engine import ProposalOutcome
 from dispatchsim.qnet import QNetwork
 
@@ -149,6 +153,141 @@ def test_buffer_sampling_is_uniform_over_contents():
 def test_buffer_rejects_bad_capacity():
     with pytest.raises(ValueError):
         ReplayBuffer(0)
+
+
+class ListBuffer:
+    """The replay buffer as a list of transitions: the layout the columns replace."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.items = []
+        self.next = 0
+
+    def push(self, item):
+        if len(self.items) < self.capacity:
+            self.items.append(item)
+        else:
+            self.items[self.next] = item
+        self.next = (self.next + 1) % self.capacity
+
+    def sample(self, n, rng):
+        idx = rng.integers(0, len(self.items), size=n)
+        return [self.items[i] for i in idx]
+
+    def snapshot(self):
+        return self.items[self.next :] + self.items[: self.next]
+
+
+def random_transition(rng, rows, width=3):
+    """A transition with `rows` next candidates, or a terminal one for None."""
+    return Transition(
+        state_action=rng.standard_normal(width).astype(np.float32),
+        reward=float(rng.uniform(-5.0, 5.0)),
+        sojourn=float(rng.uniform(0.0, 30.0)),
+        next_candidates=None if rows is None else rng.standard_normal((rows, width)).astype(
+            np.float32
+        ),
+        terminal=rows is None,
+    )
+
+
+def assert_same_transitions(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        np.testing.assert_array_equal(g.state_action, e.state_action)
+        assert g.state_action.dtype == np.float32
+        assert (g.reward, g.sojourn, g.terminal) == (e.reward, e.sojourn, e.terminal)
+        if e.next_candidates is None:
+            assert g.next_candidates is None
+        else:
+            np.testing.assert_array_equal(g.next_candidates, e.next_candidates)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    capacity=st.integers(1, 7),
+    pushes=st.lists(st.one_of(st.none(), st.integers(1, 12)), min_size=1, max_size=60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_buffer_columns_match_a_list_of_transitions(capacity, pushes, seed):
+    buf, ref = ReplayBuffer(capacity), ListBuffer(capacity)
+    buf.MIN_SLOTS = 1  # grow the slot columns from one slot, so growth runs too
+    rng = np.random.default_rng(seed)
+    for rows in pushes:
+        item = random_transition(rng, rows)
+        buf.push(item)
+        ref.push(item)
+        assert buf.size == len(ref.items)
+        assert_same_transitions(buf.snapshot(), ref.snapshot())
+        assert_same_transitions(
+            buf.sample(5, np.random.default_rng(seed)), ref.sample(5, np.random.default_rng(seed))
+        )
+
+
+def test_buffer_grows_compacts_and_wraps_like_a_list():
+    capacity = 600  # above MIN_SLOTS, so the slot columns double before they wrap
+    buf, ref = ReplayBuffer(capacity), ListBuffer(capacity)
+    rng = np.random.default_rng(11)
+    slot_sizes, store_sizes, compactions = set(), set(), 0
+    for k in range(4 * capacity):
+        item = random_transition(rng, None if k % 5 == 0 else int(rng.integers(1, 13)))
+        base, store = buf._row_base, len(buf.rows) if buf.rows is not None else 0
+        buf.push(item)
+        ref.push(item)
+        compactions += buf._row_base != base and len(buf.rows) == store
+        slot_sizes.add(len(buf.reward))
+        store_sizes.add(len(buf.rows))
+    assert slot_sizes == {256, 512, 600}
+    assert len(store_sizes) > 1 and compactions > 0
+    assert_same_transitions(buf.snapshot(), ref.snapshot())
+    assert_same_transitions(
+        buf.sample(200, np.random.default_rng(3)), ref.sample(200, np.random.default_rng(3))
+    )
+    # the store's live rows are exactly the rows of the transitions held
+    assert buf._tail - buf._head == sum(0 if t.terminal else len(t.next_candidates)
+                                        for t in ref.items)
+
+
+def test_buffer_refuses_a_push_of_another_width():
+    buf = ReplayBuffer(4)
+    buf.push(random_transition(np.random.default_rng(0), 2, width=3))
+    with pytest.raises(ValueError):
+        buf.push(random_transition(np.random.default_rng(1), None, width=4))
+    with pytest.raises(ValueError):
+        buf.push(
+            Transition(np.zeros(3, np.float32), 0.0, 1.0, np.zeros((2, 4), np.float32), False)
+        )
+    assert buf.size == 1
+
+
+def traced_bytes(fn, in_file=None):
+    """Bytes that `fn` allocates and keeps, optionally only those made in `in_file`."""
+    tracemalloc.start()
+    try:
+        kept = fn()  # noqa: F841  (alive while the snapshot is taken)
+        snap = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    if in_file is not None:
+        snap = snap.filter_traces([tracemalloc.Filter(True, in_file)])
+    return sum(stat.size for stat in snap.statistics("filename"))
+
+
+def test_an_empty_buffer_allocates_no_columns():
+    assert traced_bytes(lambda: ReplayBuffer(10**12)) < 64 * 1024
+    buf = ReplayBuffer(10**12)
+    rng = np.random.default_rng(2)
+    items = [random_transition(rng, rows) for rows in (3, None, 1, 12)]
+    for item in items:
+        buf.push(item)
+    assert buf.size == 4
+    assert_same_transitions(buf.snapshot(), items)
+
+
+def test_fresh_dqn_policy_allocates_no_buffer_columns():
+    cfg = parse_lines([f"buffer_capacity={10**12}"])
+    policy_bytes = traced_bytes(lambda: harness.fresh_dqn_policy(cfg, 1), agent_module.__file__)
+    assert policy_bytes < 64 * 1024
 
 
 # -- action selection ---------------------------------------------------------------

@@ -265,14 +265,45 @@ def per_day_csv(cfg_file, tmp_path, capsys):
     return out_dir / "per_day.csv"
 
 
+def set_fields(**values):
+    """A row mangler that puts `values` into the named per-day fields."""
+    names = "date,policy,scenario,created,served,canceled,avg_delay_min,cancel_rate,total_service_min,seed"
+    index = {name: i for i, name in enumerate(names.split(","))}
+
+    def mangle(row):
+        fields = row.split(",")
+        for name, value in values.items():
+            fields[index[name]] = str(value)
+        return ",".join(fields)
+
+    return mangle
+
+
 @pytest.mark.parametrize(
     "mangle, message",
     [
         (lambda row: row.rsplit(",", 1)[0], "line 3: expected 10 fields, got 9"),
-        (lambda row: ",".join("many" if i == 4 else f for i, f in enumerate(row.split(","))),
-         "line 3: invalid literal for int() with base 10: 'many'"),
+        (set_fields(served="many"), "line 3: invalid literal for int() with base 10: 'many'"),
+        (set_fields(canceled=-3), "line 3: canceled count -3 is negative"),
+        (set_fields(created=-1, served=0, canceled=0), "line 3: created count -1 is negative"),
+        (set_fields(created=10, served=12, canceled=0),
+         "line 3: served 12 plus canceled 0 exceed created 10"),
+        (set_fields(created=10, served=6, canceled=5),
+         "line 3: served 6 plus canceled 5 exceed created 10"),
+        (set_fields(avg_delay_min="nan"), "line 3: avg_delay_min nan is not finite and non-negative"),
+        (set_fields(avg_delay_min=-0.5),
+         "line 3: avg_delay_min -0.5 is not finite and non-negative"),
+        (set_fields(cancel_rate="inf"), "line 3: cancel_rate inf is not finite and non-negative"),
+        (set_fields(total_service_min="inf"),
+         "line 3: total_service_min inf is not finite and non-negative"),
+        # every fault at once: the counts are named first
+        (set_fields(created=10, served=12, canceled=-3, avg_delay_min="nan",
+                    total_service_min="inf"),
+         "line 3: canceled count -3 is negative"),
     ],
-    ids=["short_row", "non_numeric"],
+    ids=["short_row", "non_numeric", "negative_canceled", "negative_created",
+         "served_above_created", "served_plus_canceled_above_created", "nan_delay",
+         "negative_delay", "inf_cancel_rate", "inf_service", "all_at_once"],
 )
 def test_report_of_a_bad_row_names_the_line_and_exits_2(per_day_csv, capsys, mangle, message):
     lines = per_day_csv.read_text().splitlines()
@@ -282,6 +313,14 @@ def test_report_of_a_bad_row_names_the_line_and_exits_2(per_day_csv, capsys, man
     assert rc == 2
     err = capsys.readouterr().err
     assert str(per_day_csv) in err and message in err
+
+
+def test_report_accepts_a_day_with_every_call_served_or_canceled(per_day_csv, capsys):
+    lines = per_day_csv.read_text().splitlines()
+    lines[2] = set_fields(created=10, served=4, canceled=6, avg_delay_min=0,
+                          total_service_min=0)(lines[2])
+    per_day_csv.write_text("\n".join(lines) + "\n")
+    assert main(["report", str(per_day_csv), "--format", "csv"]) == 0
 
 
 def test_report_skips_blank_lines(per_day_csv, capsys):
