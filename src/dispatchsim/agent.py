@@ -6,13 +6,10 @@ and the target network evaluates it.  Discounting is continuous-time:
 a transition observed after sojourn tau is discounted by gamma**tau
 (equivalently e**(-beta*tau) with beta = -ln(gamma)).
 
-Each agent's replay buffer keeps its transitions as columns, one row per
-slot (chosen feature row, reward, sojourn, terminal flag), plus one FIFO
-store of next-candidate rows that each slot indexes by first row and row
-count.  A minibatch is a fancy-indexed gather from those columns and one
-gather from the row store.  `Transition` is the unit a push takes and the
-view the test hooks `sample` and `snapshot` build; training never makes one
-per sample.
+Each agent's replay buffer keeps one column per transition field; a slot's
+feature rows are its own float32 bytes, so a minibatch is one bytes join per
+matrix.  `Transition` is the unit a push takes and the view the test hooks
+`sample` and `snapshot` build; training never makes one per sample.
 """
 
 from __future__ import annotations
@@ -83,7 +80,7 @@ def discounted_reward(reward: float, gamma: float, tau: float) -> float:
 
 @dataclass
 class Transition:
-    """One stored transition; what `ReplayBuffer` hands out is a copy of its columns."""
+    """One stored transition; what `ReplayBuffer` hands out are read-only views of its bytes."""
 
     state_action: np.ndarray  # chosen (state, action) feature vector
     reward: float
@@ -95,123 +92,79 @@ class Transition:
 class ReplayBuffer:
     """Oldest-first eviction at `capacity` and uniform sampling, kept as columns.
 
-    Slot k holds one transition: `state_action[k]` (float32, as wide as the
-    first push), `reward[k]`, `sojourn[k]`, `terminal[k]`, and `row_start[k]`
-    and `row_count[k]`, which place its next-candidate rows in `rows`.  A
-    terminal slot has no rows.  The slot columns are allocated at the first
-    push and double as the buffer fills, up to `capacity` slots; slots fill
-    in push order, then the oldest is overwritten.  `rows` is one FIFO
-    float32 store: a push appends its rows at the tail and an eviction drops
-    the oldest slot's rows from the head.  When an append does not fit and
-    the live rows fill less than half of the store, they move down to its
-    start, else the store doubles.  `row_start` counts rows from the first
-    ever pushed; `rows[0]` is row `_row_base`.  `Transition` is only the
-    unit of `push` and the view `sample` and `snapshot` build on demand.
+    Slot k holds `state_action[k]`, the float32 bytes of its chosen feature
+    row, `next_rows[k]`, those of its next candidates (`b""` if terminal),
+    and `reward[k]`, `sojourn[k]` and `terminal[k]`.  The first push fixes
+    the row `width`.  The columns grow by appends up to `capacity` slots,
+    then the oldest slot is overwritten.
     """
-
-    MIN_SLOTS = 256
 
     def __init__(self, capacity: int):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.size = 0
+        self.width = 0  # floats per row, fixed by the first push
         self._next = 0  # the slot the next push writes
-        self.state_action: Optional[np.ndarray] = None
-        self.reward = self.sojourn = self.terminal = None
-        self.row_start = self.row_count = None
-        self.rows: Optional[np.ndarray] = None
-        self._row_base = self._head = self._tail = 0  # row numbers of rows[0], head, tail
+        self.state_action: List[bytes] = []
+        self.next_rows: List[bytes] = []
+        self.reward = array("d")
+        self.sojourn = array("d")
+        self.terminal = array("b")
+
+    @property
+    def size(self) -> int:
+        return len(self.reward)
 
     def push(self, item: Transition) -> None:
         state_action = np.asarray(item.state_action, dtype=np.float32)
-        if self.state_action is None:
-            self._allocate(state_action.shape[-1])
-        width = self.state_action.shape[1]
+        if not self.reward:
+            self.width = state_action.size
+        width = self.width
         if state_action.shape != (width,):
             raise ValueError(f"state_action of shape {state_action.shape}, buffer holds {width}")
-        rows = None
+        next_rows = b""
         if not item.terminal:
             rows = np.asarray(item.next_candidates, dtype=np.float32)
-            if rows.ndim != 2 or rows.shape[1] != width:
-                raise ValueError(f"next_candidates of shape {rows.shape}, buffer holds {width}")
+            if rows.ndim != 2 or rows.shape[1] != width or not len(rows):
+                raise ValueError(f"next_candidates of shape {rows.shape}, buffer holds "
+                                 f"one or more rows of {width}")
+            next_rows = rows.tobytes()
+        state_action = state_action.tobytes()
+        reward, sojourn, terminal = float(item.reward), float(item.sojourn), bool(item.terminal)
         slot = self._next
-        if self.size < self.capacity:
-            if slot == len(self.reward):
-                self._grow_slots()
-            self.size += 1
+        if slot == self.size:  # still filling
+            self.state_action.append(state_action)
+            self.next_rows.append(next_rows)
+            self.reward.append(reward)
+            self.sojourn.append(sojourn)
+            self.terminal.append(terminal)
         else:
-            self._head += int(self.row_count[slot])  # the oldest slot's rows head the store
-        self.state_action[slot] = state_action
-        self.reward[slot] = item.reward
-        self.sojourn[slot] = item.sojourn
-        self.terminal[slot] = item.terminal
-        self.row_start[slot] = self._tail
-        self.row_count[slot] = 0 if rows is None else len(rows)
-        if rows is not None:
-            self._append_rows(rows)
+            self.state_action[slot] = state_action
+            self.next_rows[slot] = next_rows
+            self.reward[slot] = reward
+            self.sojourn[slot] = sojourn
+            self.terminal[slot] = terminal
         self._next = (slot + 1) % self.capacity
 
-    def _allocate(self, width: int) -> None:
-        slots = min(self.capacity, self.MIN_SLOTS)
-        self.state_action = np.empty((slots, width), dtype=np.float32)
-        self.reward = np.empty(slots)
-        self.sojourn = np.empty(slots)
-        self.terminal = np.empty(slots, dtype=bool)
-        self.row_start = np.empty(slots, dtype=np.int64)
-        self.row_count = np.empty(slots, dtype=np.int64)
-        self.rows = np.empty((slots, width), dtype=np.float32)
-
-    def _grow_slots(self) -> None:
-        slots = min(self.capacity, 2 * len(self.reward))
-        for name in ("state_action", "reward", "sojourn", "terminal", "row_start", "row_count"):
-            old = getattr(self, name)
-            new = np.empty((slots, *old.shape[1:]), dtype=old.dtype)
-            new[: self.size] = old[: self.size]
-            setattr(self, name, new)
-
-    def _append_rows(self, rows: np.ndarray) -> None:
-        n = len(rows)
-        end = self._tail + n - self._row_base
-        if end > len(self.rows):
-            live = self._tail - self._head
-            head = self._head - self._row_base
-            if 2 * (live + n) <= len(self.rows):
-                self.rows[:live] = self.rows[head : head + live]
-            else:
-                store = np.empty((max(2 * len(self.rows), live + n), self.rows.shape[1]),
-                                 dtype=np.float32)
-                store[:live] = self.rows[head : head + live]
-                self.rows = store
-            self._row_base = self._head
-            end = live + n
-        self.rows[end - n : end] = rows
-        self._tail += n
-
-    def sample_slots(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """`n` slots drawn uniformly, with replacement, from one `rng` call."""
-        return rng.integers(0, self.size, size=n)
-
-    def candidate_rows(self, slots: np.ndarray) -> np.ndarray:
-        """The next-candidate rows of `slots`, slot after slot, in one gather."""
-        counts = self.row_count[slots]
-        firsts = self.row_start[slots] - self._row_base
-        offsets = np.cumsum(counts) - counts  # where each slot's rows begin in the result
-        return self.rows[np.arange(counts.sum()) + np.repeat(firsts - offsets, counts)]
+    def rows(self, column: List[bytes], slots) -> np.ndarray:
+        """The rows `column` holds for `slots`, slot after slot, as one float32 matrix."""
+        return np.frombuffer(b"".join([column[s] for s in slots]), np.float32).reshape(
+            -1, self.width
+        )
 
     def _view(self, slot: int) -> Transition:
         terminal = bool(self.terminal[slot])
         return Transition(
-            state_action=self.state_action[slot].copy(),
-            reward=float(self.reward[slot]),
-            sojourn=float(self.sojourn[slot]),
-            next_candidates=None if terminal else self.candidate_rows(np.array([slot])),
+            state_action=self.rows(self.state_action, [slot])[0],
+            reward=self.reward[slot],
+            sojourn=self.sojourn[slot],
+            next_candidates=None if terminal else self.rows(self.next_rows, [slot]),
             terminal=terminal,
         )
 
     def sample(self, n: int, rng: np.random.Generator) -> List[Transition]:
         """`n` transitions drawn as `train_step` draws its minibatch (test hook)."""
-        return [self._view(slot) for slot in self.sample_slots(n, rng).tolist()]
+        return [self._view(slot) for slot in rng.integers(0, self.size, size=n).tolist()]
 
     def snapshot(self) -> List[Transition]:
         """Contents oldest-first (test hook)."""
@@ -332,14 +285,16 @@ class DQNAgent:
         buf = self.buffer
         if buf.size < self.cfg.learning_starts:
             return None
-        slots = buf.sample_slots(self.cfg.batch_size, self.explore_rng)
-        x = buf.state_action[slots]
-        y = buf.reward[slots].astype(np.float32)
-        live = np.flatnonzero(~buf.terminal[slots])
-        if len(live):
-            live_slots = slots[live]
-            rows = buf.candidate_rows(live_slots)
-            sizes = buf.row_count[live_slots]
+        slots = self.explore_rng.integers(0, buf.size, size=self.cfg.batch_size).tolist()
+        x = buf.rows(buf.state_action, slots)
+        reward = buf.reward
+        y = np.array([reward[s] for s in slots], dtype=np.float32)
+        live = [i for i, s in enumerate(slots) if not buf.terminal[s]]
+        if live:
+            live_slots = [slots[i] for i in live]
+            rows = buf.rows(buf.next_rows, live_slots)
+            row_bytes = 4 * buf.width
+            sizes = np.array([len(buf.next_rows[s]) // row_bytes for s in live_slots])
             starts = np.cumsum(sizes) - sizes
             q_online = self.online.forward(rows)
             seg_max = np.repeat(np.maximum.reduceat(q_online, starts), sizes)
@@ -350,14 +305,9 @@ class DQNAgent:
             )
             q_eval = self.target.forward(rows[best])
             # Python floats: numpy's array ** differs from the scalar pow in the last bit
-            gamma = self.cfg.gamma
-            for i, reward, sojourn, q in zip(
-                live.tolist(),
-                buf.reward[live_slots].tolist(),
-                buf.sojourn[live_slots].tolist(),
-                q_eval.tolist(),
-            ):
-                y[i] = reward + gamma**sojourn * q
+            gamma, sojourn = self.cfg.gamma, buf.sojourn
+            for i, s, q in zip(live, live_slots, q_eval.tolist()):
+                y[i] = reward[s] + gamma ** sojourn[s] * q
         loss = self.online.train_batch(x, y, self.cfg.learning_rate)
         self.loss_history.append(loss)
         self.gradient_steps += 1

@@ -215,6 +215,9 @@ def _validate(values: Dict[str, object]) -> None:
             raise ConfigError(f"key {key!r}: value {values[key]!r} out of range")
     if values["epsilon_min"] > values["epsilon_max"]:
         raise ConfigError("epsilon_min must not exceed epsilon_max")
+    if values["learning_starts"] > values["buffer_capacity"]:
+        raise ConfigError("learning_starts must not exceed buffer_capacity, "
+                          "or no gradient step is ever taken")
     if values["demand_mode"] not in ("synthetic", "records"):
         raise ConfigError(f"demand_mode must be synthetic|records, got {values['demand_mode']!r}")
     if values["spatial_mode"] not in ("uniform", "clusters"):

@@ -397,4 +397,6 @@ def recompute_report_from_per_day_csv(path) -> List[ReportRow]:
             m.sum_delay = avg_delay * served
             m.sum_service_time = service
             metrics.append(m)
+    if not metrics:
+        raise ValueError(f"{path}: no per-day rows")
     return aggregate(metrics)

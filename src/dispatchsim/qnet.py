@@ -207,20 +207,25 @@ def load_checkpoint(path) -> Tuple[QNetwork, str]:
     if len(head) != 3 or head[0] != CKPT_MAGIC or head[1] != CKPT_VERSION:
         raise ValueError(f"{path}: bad checkpoint header {lines[0]!r}")
     agent_name = head[2]
-    dims = tuple(int(t) for t in lines[1].split())
-    net = QNetwork(dims, init=False)
-    expected = 2 + 2 * len(net.weights)
-    if len(lines) < expected:
+    try:
+        dims = tuple(int(t) for t in lines[1].split())
+    except ValueError:
+        dims = ()
+    if len(dims) < 2 or min(dims) < 1 or dims[-1] != 1:
+        raise ValueError(f"{path}: bad layer dims {lines[1]!r}, want positive sizes ending in 1")
+    if len(lines) < 2 * len(dims):  # header, dims, then two lines per layer
         raise ValueError(f"{path}: truncated checkpoint")
-    row = 2
+    layers = []  # all sizes are checked before the network is allocated
     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        w = np.array([np.float32(t) for t in lines[row].split()], dtype=np.float32)
-        b = np.array([np.float32(t) for t in lines[row + 1].split()], dtype=np.float32)
+        w = np.array([np.float32(t) for t in lines[2 + 2 * i].split()], dtype=np.float32)
+        b = np.array([np.float32(t) for t in lines[3 + 2 * i].split()], dtype=np.float32)
         if w.size != fan_in * fan_out or b.size != fan_out:
             raise ValueError(f"{path}: layer {i} size mismatch")
-        net.weights[i][...] = w.reshape(fan_in, fan_out)
-        net.biases[i][...] = b
-        row += 2
+        layers.append((w.reshape(fan_in, fan_out), b))
+    net = QNetwork(dims, init=False)
+    for (w, b), weights, biases in zip(layers, net.weights, net.biases):
+        weights[...] = w
+        biases[...] = b
     if not np.isfinite(net.params).all():
         raise ValueError(f"{path}: non-finite parameter in checkpoint")
     return net, agent_name

@@ -211,7 +211,6 @@ def assert_same_transitions(got, expected):
 )
 def test_buffer_columns_match_a_list_of_transitions(capacity, pushes, seed):
     buf, ref = ReplayBuffer(capacity), ListBuffer(capacity)
-    buf.MIN_SLOTS = 1  # grow the slot columns from one slot, so growth runs too
     rng = np.random.default_rng(seed)
     for rows in pushes:
         item = random_transition(rng, rows)
@@ -224,28 +223,22 @@ def test_buffer_columns_match_a_list_of_transitions(capacity, pushes, seed):
         )
 
 
-def test_buffer_grows_compacts_and_wraps_like_a_list():
-    capacity = 600  # above MIN_SLOTS, so the slot columns double before they wrap
+def test_buffer_fills_and_wraps_like_a_list():
+    capacity = 600
     buf, ref = ReplayBuffer(capacity), ListBuffer(capacity)
     rng = np.random.default_rng(11)
-    slot_sizes, store_sizes, compactions = set(), set(), 0
     for k in range(4 * capacity):
         item = random_transition(rng, None if k % 5 == 0 else int(rng.integers(1, 13)))
-        base, store = buf._row_base, len(buf.rows) if buf.rows is not None else 0
         buf.push(item)
         ref.push(item)
-        compactions += buf._row_base != base and len(buf.rows) == store
-        slot_sizes.add(len(buf.reward))
-        store_sizes.add(len(buf.rows))
-    assert slot_sizes == {256, 512, 600}
-    assert len(store_sizes) > 1 and compactions > 0
     assert_same_transitions(buf.snapshot(), ref.snapshot())
     assert_same_transitions(
         buf.sample(200, np.random.default_rng(3)), ref.sample(200, np.random.default_rng(3))
     )
-    # the store's live rows are exactly the rows of the transitions held
-    assert buf._tail - buf._head == sum(0 if t.terminal else len(t.next_candidates)
-                                        for t in ref.items)
+    # the slots' bytes are exactly the rows of the transitions held
+    assert sum(map(len, buf.next_rows)) == 4 * buf.width * sum(
+        0 if t.terminal else len(t.next_candidates) for t in ref.items
+    )
 
 
 def test_buffer_refuses_a_push_of_another_width():
@@ -257,7 +250,13 @@ def test_buffer_refuses_a_push_of_another_width():
         buf.push(
             Transition(np.zeros(3, np.float32), 0.0, 1.0, np.zeros((2, 4), np.float32), False)
         )
-    assert buf.size == 1
+    with pytest.raises(ValueError):  # a live transition needs a next candidate
+        buf.push(
+            Transition(np.zeros(3, np.float32), 0.0, 1.0, np.zeros((0, 3), np.float32), False)
+        )
+    with pytest.raises(TypeError):  # refused before any column is written
+        buf.push(Transition(np.zeros(3, np.float32), None, 1.0, None, True))
+    assert buf.size == 1 and len(buf.state_action) == len(buf.next_rows) == 1
 
 
 def traced_bytes(fn, in_file=None):

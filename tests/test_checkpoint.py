@@ -1,5 +1,8 @@
 """Text checkpoint format: lossless round trips for 32-bit parameters."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,11 +62,32 @@ def test_header_and_shape_validation(tmp_path):
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(bad)
 
+    for dims in ("15 x 1", "15 -2 1", "15 64 32 2", "1", ""):
+        bad.write_text("\n".join([lines[0], dims, *lines[2:]]) + "\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{bad}: bad layer dims")):
+            load_checkpoint(bad)
+
     mutated = list(lines)
     mutated[2] = " ".join(mutated[2].split()[:-1])  # drop one weight
     bad.write_text("\n".join(mutated) + "\n")
     with pytest.raises(ValueError, match="size mismatch"):
         load_checkpoint(bad)
+
+
+def test_layer_sizes_are_checked_before_the_network_is_allocated(tmp_path):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(QNetwork((3, 4, 1), rng=np.random.default_rng(0)), "a", path)
+    lines = path.read_text().splitlines()
+    lines[1] = "15 250000 1"  # 3.75M weights, with Adam state about 45 MB
+    path.write_text("\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="layer 0 size mismatch"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
 
 
 def test_extreme_float32_values_survive(tmp_path):

@@ -102,6 +102,14 @@ def test_empty_scenario_or_policy_list_exits_2(cfg_file, tmp_path, capsys, verb,
     assert not out_dir.exists()
 
 
+def test_train_that_could_never_start_learning_exits_2(cfg_file, tmp_path, capsys):
+    cfg_file.write_text(cfg_file.read_text() + "learning_starts=65\n")  # above buffer_capacity=64
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_file), "--out-dir", str(out_dir)]) == 2
+    assert "error: learning_starts must not exceed buffer_capacity" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("gamma=2.0\n")
@@ -329,3 +337,13 @@ def test_report_skips_blank_lines(per_day_csv, capsys):
     per_day_csv.write_text(per_day_csv.read_text().replace("\n", "\n\n", 2))
     assert main(["report", str(per_day_csv), "--format", "csv"]) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("output", [False, True])
+def test_report_of_a_header_only_csv_exits_2(per_day_csv, tmp_path, capsys, output):
+    per_day_csv.write_text(per_day_csv.read_text().splitlines()[0] + "\n")
+    argv = ["report", str(per_day_csv)]
+    if output:
+        argv += ["--output", str(tmp_path / "report.txt")]
+    assert main(argv) == 2
+    assert f"error: {per_day_csv}: no per-day rows" in capsys.readouterr().err

@@ -54,6 +54,12 @@ def test_epsilon_ordering_checked():
         parse_lines(["epsilon_min=0.9", "epsilon_max=0.5"])
 
 
+def test_learning_starts_above_buffer_capacity_is_rejected():
+    with pytest.raises(ConfigError, match="learning_starts must not exceed buffer_capacity"):
+        parse_lines(["learning_starts=20", "buffer_capacity=10"])
+    assert parse_lines(["learning_starts=10", "buffer_capacity=10"]).agent.learning_starts == 10
+
+
 def test_bad_enumerations_rejected():
     with pytest.raises(ConfigError, match="demand_mode"):
         parse_lines(["demand_mode=oracle"])
