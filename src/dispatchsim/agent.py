@@ -6,10 +6,12 @@ and the target network evaluates it.  Discounting is continuous-time:
 a transition observed after sojourn tau is discounted by gamma**tau
 (equivalently e**(-beta*tau) with beta = -ln(gamma)).
 
-Each agent's replay buffer keeps one column per transition field; a slot's
-feature rows are its own float32 bytes, so a minibatch is one bytes join per
-matrix.  `Transition` is the unit a push takes and the view the test hooks
-`sample` and `snapshot` build; training never makes one per sample.
+Each agent's replay buffer keeps one column per transition field.  A slot's
+next candidates keep the columns that differ between rows once per row, as
+its own float32 bytes, and those its epoch kind shares
+(`features.SHARED_COLUMNS`) once per slot.  `Transition` is the unit a push
+takes and the view the test hooks `sample` and `snapshot` build; training
+never makes one per sample.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .engine import ProposalOutcome
-from .features import FEATURE_DIM, free_vehicle_candidates, new_call_candidates
+from .features import FEATURE_DIM, SHARED_COLUMNS, free_vehicle_candidates, new_call_candidates
 from .policies import DispatchPolicy
 from .qnet import QNetwork, save_checkpoint
 
@@ -56,6 +58,8 @@ class AgentConfig:
                 raise ValueError(f"{name} must be positive")
         if not -math.inf < self.reward_bonus < math.inf:
             raise ValueError("reward_bonus must be finite")
+        if self.learning_starts > self.buffer_capacity:
+            raise ValueError("learning_starts must not exceed buffer_capacity")
 
     @property
     def beta(self) -> float:
@@ -80,7 +84,7 @@ def discounted_reward(reward: float, gamma: float, tau: float) -> float:
 
 @dataclass
 class Transition:
-    """One stored transition; what `ReplayBuffer` hands out are read-only views of its bytes."""
+    """One stored transition; what `ReplayBuffer` hands out are copies of its float32 values."""
 
     state_action: np.ndarray  # chosen (state, action) feature vector
     reward: float
@@ -92,24 +96,29 @@ class Transition:
 class ReplayBuffer:
     """Oldest-first eviction at `capacity` and uniform sampling, kept as columns.
 
-    Slot k holds `state_action[k]`, the float32 bytes of its chosen feature
-    row, `next_rows[k]`, those of its next candidates (`b""` if terminal),
-    and `reward[k]`, `sojourn[k]` and `terminal[k]`.  The first push fixes
-    the row `width`.  The columns grow by appends up to `capacity` slots,
-    then the oldest slot is overwritten.
+    The first push fixes the row `width`.  A transition's next-candidate rows
+    agree in `shared_columns` (none by default), not in `varying_columns`.
+    Slot k holds its chosen row and its shared values (zeros if terminal) at
+    k * `width` and k * s of the flat float32 arrays `state_action` and
+    `shared` (s = `len(shared_columns)`), `next_rows[k]`, the float32 bytes
+    of its candidates' varying columns (`b""` exactly when terminal), and
+    `reward[k]` and `sojourn[k]`.  The columns grow by appends up to
+    `capacity` slots; then the oldest slot is overwritten.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, shared_columns: Sequence[int] = ()):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.width = 0  # floats per row, fixed by the first push
+        self.shared_columns = np.array(shared_columns, dtype=np.intp)
+        self.varying_columns = np.arange(0)  # fixed with `width` by the first push
+        self.width = 0  # floats per row
         self._next = 0  # the slot the next push writes
-        self.state_action: List[bytes] = []
+        self.state_action = array("f")
+        self.shared = array("f")
         self.next_rows: List[bytes] = []
         self.reward = array("d")
         self.sojourn = array("d")
-        self.terminal = array("b")
 
     @property
     def size(self) -> int:
@@ -117,48 +126,64 @@ class ReplayBuffer:
 
     def push(self, item: Transition) -> None:
         state_action = np.asarray(item.state_action, dtype=np.float32)
+        shared = self.shared_columns
         if not self.reward:
             self.width = state_action.size
-        width = self.width
-        if state_action.shape != (width,):
-            raise ValueError(f"state_action of shape {state_action.shape}, buffer holds {width}")
-        next_rows = b""
+            self.varying_columns = np.setdiff1d(np.arange(self.width), shared)
+        width, k = self.width, len(shared)
+        if state_action.shape != (width,) or len(self.varying_columns) + k != width:
+            raise ValueError(f"state_action of shape {state_action.shape}, buffer holds {width} "
+                             f"with shared columns {shared.tolist()}")
+        next_rows, common = b"", bytes(4 * k)
         if not item.terminal:
             rows = np.asarray(item.next_candidates, dtype=np.float32)
             if rows.ndim != 2 or rows.shape[1] != width or not len(rows):
                 raise ValueError(f"next_candidates of shape {rows.shape}, buffer holds "
                                  f"one or more rows of {width}")
-            next_rows = rows.tobytes()
+            tail = rows.take(shared, axis=1).tobytes()
+            common = tail[: 4 * k]
+            if tail != common * len(rows):  # bit for bit
+                raise ValueError(f"next_candidates differ in shared columns {shared.tolist()}")
+            next_rows = rows.take(self.varying_columns, axis=1).tobytes()
         state_action = state_action.tobytes()
-        reward, sojourn, terminal = float(item.reward), float(item.sojourn), bool(item.terminal)
+        reward, sojourn = float(item.reward), float(item.sojourn)
         slot = self._next
         if slot == self.size:  # still filling
-            self.state_action.append(state_action)
+            self.state_action.frombytes(state_action)
+            self.shared.frombytes(common)
             self.next_rows.append(next_rows)
             self.reward.append(reward)
             self.sojourn.append(sojourn)
-            self.terminal.append(terminal)
         else:
-            self.state_action[slot] = state_action
+            self.state_action[slot * width : (slot + 1) * width] = array("f", state_action)
+            self.shared[slot * k : (slot + 1) * k] = array("f", common)
             self.next_rows[slot] = next_rows
             self.reward[slot] = reward
             self.sojourn[slot] = sojourn
-            self.terminal[slot] = terminal
         self._next = (slot + 1) % self.capacity
 
-    def rows(self, column: List[bytes], slots) -> np.ndarray:
-        """The rows `column` holds for `slots`, slot after slot, as one float32 matrix."""
-        return np.frombuffer(b"".join([column[s] for s in slots]), np.float32).reshape(
-            -1, self.width
-        )
+    def gather(self, column: array, slots, k: int) -> np.ndarray:
+        """`k` floats per slot of flat `column` at `slots`, copied: a live view blocks appends."""
+        return np.frombuffer(column, np.float32).reshape(self.size, k)[slots]
+
+    def next_candidates(self, slots) -> Tuple[np.ndarray, np.ndarray]:
+        """The candidate rows of live `slots`, slot after slot, and each slot's row count."""
+        varying, shared = self.varying_columns, self.shared_columns
+        blocks = [self.next_rows[s] for s in slots]
+        sizes = np.array([len(b) for b in blocks]) // (4 * len(varying))
+        flat = np.frombuffer(b"".join(blocks), np.float32).reshape(-1, len(varying))
+        rows = np.empty((len(flat), self.width), np.float32)  # float32 copies: bit-exact
+        rows[:, varying] = flat
+        rows[:, shared] = np.repeat(self.gather(self.shared, slots, len(shared)), sizes, axis=0)
+        return rows, sizes
 
     def _view(self, slot: int) -> Transition:
-        terminal = bool(self.terminal[slot])
+        terminal = not self.next_rows[slot]
         return Transition(
-            state_action=self.rows(self.state_action, [slot])[0],
+            state_action=self.gather(self.state_action, [slot], self.width)[0],
             reward=self.reward[slot],
             sojourn=self.sojourn[slot],
-            next_candidates=None if terminal else self.rows(self.next_rows, [slot]),
+            next_candidates=None if terminal else self.next_candidates([slot])[0],
             terminal=terminal,
         )
 
@@ -188,7 +213,8 @@ class DQNAgent:
         dims = (input_dim, *cfg.hidden_dims, 1)
         self.online = QNetwork(dims, rng=init_rng)
         self.target = self.online.clone()
-        self.buffer = ReplayBuffer(cfg.buffer_capacity)
+        shared = SHARED_COLUMNS.get(name, ()) if input_dim == FEATURE_DIM else ()
+        self.buffer = ReplayBuffer(cfg.buffer_capacity, shared)
         self.explore_rng = explore_rng
         self.epsilon = cfg.epsilon_max
         self.train_mode = True
@@ -285,16 +311,14 @@ class DQNAgent:
         buf = self.buffer
         if buf.size < self.cfg.learning_starts:
             return None
-        slots = self.explore_rng.integers(0, buf.size, size=self.cfg.batch_size).tolist()
-        x = buf.rows(buf.state_action, slots)
-        reward = buf.reward
+        draw = self.explore_rng.integers(0, buf.size, size=self.cfg.batch_size)
+        x, slots = buf.gather(buf.state_action, draw, buf.width), draw.tolist()
+        reward, next_rows = buf.reward, buf.next_rows
         y = np.array([reward[s] for s in slots], dtype=np.float32)
-        live = [i for i, s in enumerate(slots) if not buf.terminal[s]]
+        live = [i for i, s in enumerate(slots) if next_rows[s]]
         if live:
             live_slots = [slots[i] for i in live]
-            rows = buf.rows(buf.next_rows, live_slots)
-            row_bytes = 4 * buf.width
-            sizes = np.array([len(buf.next_rows[s]) // row_bytes for s in live_slots])
+            rows, sizes = buf.next_candidates(live_slots)
             starts = np.cumsum(sizes) - sizes
             q_online = self.online.forward(rows)
             seg_max = np.repeat(np.maximum.reduceat(q_online, starts), sizes)

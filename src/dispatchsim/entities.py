@@ -62,10 +62,11 @@ class CallTable:
     reached.  `columns` holds a memoryview onto each, also kept as the
     attribute of the column's name; scalar access through a memoryview costs
     about half of numpy indexing and gives Python values.  `status` (int8
-    codes of `STATUSES`) and `assigned_vehicle` (-1 for none) are memoryviews
-    too; `np.asarray` gives the array under any of them.  Row r is call
-    `first_id + r`.  Every status a row takes is appended to one log, the
-    `log_rows` and `log_codes` arrays; a row's history is its log entries.
+    codes of `STATUSES`) and `assigned_vehicle` (a C int, -1 for none) are
+    memoryviews too; `np.asarray` gives the array under any of them.  Row r
+    is call `first_id + r`.  Every status a row takes is appended to one log,
+    the `log_rows` (C int) and `log_codes` arrays; a row's history is its log
+    entries.
     """
 
     def __init__(self, n: int, first_id: int = 0):
@@ -75,8 +76,8 @@ class CallTable:
         (self.origin_x, self.origin_y, self.dest_x, self.dest_y, self.created_at, self.max_wait,
          self.assigned_at, self.pickup_time, self.completion_time, self.canceled_at) = self.columns
         self.status = memoryview(np.zeros(n, dtype=np.int8))  # all waiting
-        self.assigned_vehicle = memoryview(np.full(n, -1, dtype=np.int64))
-        self.log_rows = array("q", np.arange(n, dtype=np.int64).tobytes())
+        self.assigned_vehicle = memoryview(np.full(n, -1, dtype=np.intc))
+        self.log_rows = array("i", np.arange(n, dtype=np.intc).tobytes())
         self.log_codes = array("b", bytes(n))
         self._histories: Optional[List[list]] = None  # made by the first `history`
         self._read = 0  # log entries already in `_histories`

@@ -16,6 +16,16 @@ from .geometry import MINUTES_PER_WEEK, minute_of_week
 
 FEATURE_DIM = 15
 
+# The columns every candidate row of one epoch shares, by epoch kind: the
+# call and the context in a new-call epoch, the vehicle and the context in a
+# free-vehicle epoch.  A replay buffer keeps them once per transition, and it
+# refuses a matrix whose rows differ in them, so this must change with the
+# fill code below.
+SHARED_COLUMNS = {
+    "new_call": tuple(range(7, 15)),
+    "free_vehicle": (*range(0, 7), 12, 13, 14),
+}
+
 _TWO_PI_OVER_WEEK = 2.0 * math.pi / MINUTES_PER_WEEK
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import numbers
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,12 +51,13 @@ class QNetwork:
         init: bool = True,
     ):
         """`init=False` leaves every parameter 0 and draws nothing, for copies and loads."""
-        if len(dims) < 2 or dims[-1] != 1:
-            raise ValueError(f"dims must end in a scalar output, got {dims}")
+        # load_checkpoint's rule, in one pass: at least two positive integers ending in 1
+        self.dims = tuple(int(d) for d in dims if isinstance(d, numbers.Integral) and d > 0)
+        if len(self.dims) != len(dims) or len(dims) < 2 or dims[-1] != 1:
+            raise ValueError(f"bad layer dims {tuple(dims)!r}, want positive sizes ending in 1")
         if not 0.0 <= leaky_slope <= 1.0:
             # the activation is computed as max(z, slope * z)
             raise ValueError(f"leaky_slope must be in [0, 1], got {leaky_slope}")
-        self.dims = tuple(int(d) for d in dims)
         self.dtype = np.dtype(dtype)
         self.leaky_slope = leaky_slope
         shapes = [

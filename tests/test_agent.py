@@ -22,6 +22,7 @@ from dispatchsim.agent import (
 )
 from dispatchsim.config import parse_lines
 from dispatchsim.engine import ProposalOutcome
+from dispatchsim.features import FEATURE_DIM, SHARED_COLUMNS
 from dispatchsim.qnet import QNetwork
 
 
@@ -84,6 +85,12 @@ def test_config_validation():
         AgentConfig(batch_size=0)
     with pytest.raises(ValueError):
         AgentConfig(learning_rate=0.0)
+
+
+def test_config_refuses_learning_starts_above_buffer_capacity():
+    with pytest.raises(ValueError, match="learning_starts must not exceed buffer_capacity"):
+        AgentConfig(learning_starts=20, buffer_capacity=10)
+    assert AgentConfig(learning_starts=10, buffer_capacity=10).learning_starts == 10
 
 
 @pytest.mark.parametrize("field, value", [
@@ -178,17 +185,27 @@ class ListBuffer:
         return self.items[self.next :] + self.items[: self.next]
 
 
-def random_transition(rng, rows, width=3):
-    """A transition with `rows` next candidates, or a terminal one for None."""
+def random_transition(rng, rows, width=3, shared=()):
+    """A transition with `rows` next candidates, or a terminal one for None.
+
+    The candidate rows repeat the first row's values in the `shared` columns.
+    """
+    candidates = None
+    if rows is not None:
+        candidates = rng.standard_normal((rows, width)).astype(np.float32)
+        candidates[:, shared] = candidates[0, shared]
     return Transition(
         state_action=rng.standard_normal(width).astype(np.float32),
         reward=float(rng.uniform(-5.0, 5.0)),
         sojourn=float(rng.uniform(0.0, 30.0)),
-        next_candidates=None if rows is None else rng.standard_normal((rows, width)).astype(
-            np.float32
-        ),
+        next_candidates=candidates,
         terminal=rows is None,
     )
+
+
+def layout(kind):
+    """(width, shared columns) of a buffer laid out for epoch `kind`, or for none."""
+    return (3, ()) if kind is None else (FEATURE_DIM, SHARED_COLUMNS[kind])
 
 
 def assert_same_transitions(got, expected):
@@ -208,12 +225,14 @@ def assert_same_transitions(got, expected):
     capacity=st.integers(1, 7),
     pushes=st.lists(st.one_of(st.none(), st.integers(1, 12)), min_size=1, max_size=60),
     seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from([None, "new_call", "free_vehicle"]),
 )
-def test_buffer_columns_match_a_list_of_transitions(capacity, pushes, seed):
-    buf, ref = ReplayBuffer(capacity), ListBuffer(capacity)
+def test_buffer_columns_match_a_list_of_transitions(capacity, pushes, seed, kind):
+    width, shared = layout(kind)
+    buf, ref = ReplayBuffer(capacity, shared), ListBuffer(capacity)
     rng = np.random.default_rng(seed)
     for rows in pushes:
-        item = random_transition(rng, rows)
+        item = random_transition(rng, rows, width, shared)
         buf.push(item)
         ref.push(item)
         assert buf.size == len(ref.items)
@@ -224,21 +243,30 @@ def test_buffer_columns_match_a_list_of_transitions(capacity, pushes, seed):
 
 
 def test_buffer_fills_and_wraps_like_a_list():
+    for kind in (None, "free_vehicle"):
+        check_fill_and_wrap(kind)
+
+
+def check_fill_and_wrap(kind):
     capacity = 600
-    buf, ref = ReplayBuffer(capacity), ListBuffer(capacity)
+    width, shared = layout(kind)
+    buf, ref = ReplayBuffer(capacity, shared), ListBuffer(capacity)
     rng = np.random.default_rng(11)
     for k in range(4 * capacity):
-        item = random_transition(rng, None if k % 5 == 0 else int(rng.integers(1, 13)))
+        rows = None if k % 5 == 0 else int(rng.integers(1, 13))
+        item = random_transition(rng, rows, width, shared)
         buf.push(item)
         ref.push(item)
     assert_same_transitions(buf.snapshot(), ref.snapshot())
     assert_same_transitions(
         buf.sample(200, np.random.default_rng(3)), ref.sample(200, np.random.default_rng(3))
     )
-    # the slots' bytes are exactly the rows of the transitions held
-    assert sum(map(len, buf.next_rows)) == 4 * buf.width * sum(
+    # the slots' bytes are exactly the varying columns of the rows held, and
+    # the flat arrays hold one chosen row and one set of shared values a slot
+    assert sum(map(len, buf.next_rows)) == 4 * (width - len(shared)) * sum(
         0 if t.terminal else len(t.next_candidates) for t in ref.items
     )
+    assert (len(buf.state_action), len(buf.shared)) == (width * capacity, len(shared) * capacity)
 
 
 def test_buffer_refuses_a_push_of_another_width():
@@ -256,7 +284,45 @@ def test_buffer_refuses_a_push_of_another_width():
         )
     with pytest.raises(TypeError):  # refused before any column is written
         buf.push(Transition(np.zeros(3, np.float32), None, 1.0, None, True))
-    assert buf.size == 1 and len(buf.state_action) == len(buf.next_rows) == 1
+    assert buf.size == len(buf.next_rows) == 1 and len(buf.state_action) == buf.width == 3
+
+
+@pytest.mark.parametrize("kind", ["new_call", "free_vehicle"])
+def test_buffer_refuses_candidates_that_differ_in_a_shared_column(kind):
+    width, shared = layout(kind)
+    buf = ReplayBuffer(4, shared)
+    kept = random_transition(np.random.default_rng(0), 3, width, shared)
+    buf.push(kept)
+    for column in shared:
+        item = random_transition(np.random.default_rng(column), 3, width, shared)
+        item.next_candidates[2, column] += 1.0
+        with pytest.raises(ValueError, match="shared columns"):
+            buf.push(item)
+    # -0.0 equals 0.0 but is another float32: the rebuilt row would differ
+    item = random_transition(np.random.default_rng(1), 2, width, shared)
+    item.next_candidates[:, shared[0]] = 0.0
+    item.next_candidates[1, shared[0]] = -0.0
+    with pytest.raises(ValueError, match="shared columns"):
+        buf.push(item)
+    with pytest.raises(ValueError):  # shared columns beyond the row
+        ReplayBuffer(4, shared).push(random_transition(np.random.default_rng(2), 2, 4))
+    assert buf.size == len(buf.next_rows) == 1
+    assert (len(buf.state_action), len(buf.shared)) == (width, len(shared))
+    assert_same_transitions(buf.snapshot(), [kept])
+
+
+def test_new_call_buffer_keeps_each_vehicle_row_once():
+    a = agent("new_call", input_dim=FEATURE_DIM)
+    shared = SHARED_COLUMNS["new_call"]
+    item = random_transition(np.random.default_rng(4), 200, FEATURE_DIM, shared)
+    a.buffer.push(item)
+    full = item.next_candidates.nbytes  # 200 x 15 float32: 12,000 bytes
+    held = len(a.buffer.next_rows[0]) + 4 * len(a.buffer.shared)
+    assert held == 200 * 7 * 4 + 8 * 4 <= 0.5 * full
+    assert_same_transitions(a.buffer.snapshot(), [item])
+    # another name or input width shares no column
+    assert not len(agent("new_call", input_dim=4).buffer.shared_columns)
+    assert not len(agent("t", input_dim=FEATURE_DIM).buffer.shared_columns)
 
 
 def traced_bytes(fn, in_file=None):

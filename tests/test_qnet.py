@@ -74,10 +74,16 @@ def test_forward_accepts_single_vector():
 
 
 def test_rejects_bad_dims():
-    with pytest.raises(ValueError):
-        QNetwork((15,))
-    with pytest.raises(ValueError):
-        QNetwork((15, 8, 2))
+    # the rule and wording of load_checkpoint's dims line
+    for dims in [(15,), (15, 8, 2), (15, 0, 1), (15, 2.5, 1), (0, 4, 1), (15, -3, 1),
+                 (15, "4", 1), (), (1,)]:
+        with pytest.raises(ValueError, match=r"^bad layer dims .*, want positive sizes"):
+            QNetwork(dims)
+
+
+def test_accepts_integer_dims_of_any_integer_type():
+    net = QNetwork([3, np.int64(4), 1], rng=np.random.default_rng(0))
+    assert net.dims == (3, 4, 1) and all(type(d) is int for d in net.dims)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
