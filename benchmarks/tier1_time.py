@@ -1,4 +1,4 @@
-"""Times the tier-1 test suite over repeated runs and writes a BENCH record.
+"""Times the tier-1 test suite over three runs and writes a BENCH record.
 
     python3 benchmarks/tier1_time.py --out BENCH_tier1.json
 
@@ -30,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+RUNS = 3
 SLOWEST = 10
 
 
@@ -59,14 +60,11 @@ def run_once() -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--runs", type=int, default=3, help="tier-1 runs, one at a time (default: 3)")
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_tier1.json")
     args = ap.parse_args(argv)
-    if args.runs < 1:
-        ap.error("--runs must be at least 1")
 
     runs = []
-    for i in range(args.runs):
+    for i in range(RUNS):
         run = run_once()
         runs.append(run)
         print(f"run {i + 1}: {run['passed']} passed, {run['failed']} failed, "

@@ -7,11 +7,11 @@ a transition observed after sojourn tau is discounted by gamma**tau
 (equivalently e**(-beta*tau) with beta = -ln(gamma)).
 
 Each agent's replay buffer keeps one column per transition field.  A slot's
-next candidates keep the columns that differ between rows once per row, as
-its own float32 bytes, and those its epoch kind shares
-(`features.SHARED_COLUMNS`) once per slot.  `Transition` is the unit a push
-takes and the view the test hooks `sample` and `snapshot` build; training
-never makes one per sample.
+next candidates keep the columns that differ between rows
+(`features.VARYING_COLUMNS` of its epoch kind) once per row, as its own
+float32 bytes, and the columns all rows share once per slot.  `Transition`
+is the unit a push takes and the view the test hooks `sample` and
+`snapshot` build; training never makes one per sample.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .engine import ProposalOutcome
-from .features import FEATURE_DIM, SHARED_COLUMNS, free_vehicle_candidates, new_call_candidates
+from .features import FEATURE_DIM, VARYING_COLUMNS, free_vehicle_candidates, new_call_candidates
 from .policies import DispatchPolicy
 from .qnet import QNetwork, save_checkpoint
 
@@ -97,22 +97,22 @@ class ReplayBuffer:
     """Oldest-first eviction at `capacity` and uniform sampling, kept as columns.
 
     The first push fixes the row `width`.  A transition's next-candidate rows
-    agree in `shared_columns` (none by default), not in `varying_columns`.
-    Slot k holds its chosen row and its shared values (zeros if terminal) at
-    k * `width` and k * s of the flat float32 arrays `state_action` and
-    `shared` (s = `len(shared_columns)`), `next_rows[k]`, the float32 bytes
-    of its candidates' varying columns (`b""` exactly when terminal), and
-    `reward[k]` and `sojourn[k]`.  The columns grow by appends up to
+    differ only in the columns of the slice `varying` (all by default) and
+    share the others, s floats a row.  Slot k holds its chosen row and its
+    shared values (zeros if terminal) at k * `width` and k * s of the flat
+    float32 arrays `state_action` and `shared`, `next_rows[k]`, the float32
+    bytes of its candidates' varying columns (`b""` exactly when terminal),
+    and `reward[k]` and `sojourn[k]`.  The columns grow by appends up to
     `capacity` slots; then the oldest slot is overwritten.
     """
 
-    def __init__(self, capacity: int, shared_columns: Sequence[int] = ()):
+    def __init__(self, capacity: int, varying: slice = slice(None)):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.shared_columns = np.array(shared_columns, dtype=np.intp)
-        self.varying_columns = np.arange(0)  # fixed with `width` by the first push
-        self.width = 0  # floats per row
+        self.varying = varying
+        self.width = self.lo = self.hi = 0  # floats per row and varying columns lo:hi
+        self.shared_columns = np.arange(0)  # the others, all fixed by the first push
         self._next = 0  # the slot the next push writes
         self.state_action = array("f")
         self.shared = array("f")
@@ -126,14 +126,15 @@ class ReplayBuffer:
 
     def push(self, item: Transition) -> None:
         state_action = np.asarray(item.state_action, dtype=np.float32)
-        shared = self.shared_columns
-        if not self.reward:
-            self.width = state_action.size
-            self.varying_columns = np.setdiff1d(np.arange(self.width), shared)
-        width, k = self.width, len(shared)
-        if state_action.shape != (width,) or len(self.varying_columns) + k != width:
+        if not self.reward:  # fixes the layout
+            self.width, stop = state_action.size, self.varying.stop
+            self.lo, self.hi = self.varying.start or 0, self.width if stop is None else stop
+            self.shared_columns = np.delete(np.arange(self.width), slice(self.lo, self.hi))
+        width, lo, hi, shared = self.width, self.lo, self.hi, self.shared_columns
+        k = len(shared)  # shared floats a row
+        if state_action.shape != (width,) or not 0 <= lo < hi <= width:
             raise ValueError(f"state_action of shape {state_action.shape}, buffer holds {width} "
-                             f"with shared columns {shared.tolist()}")
+                             f"with columns {lo}:{hi} varying")
         next_rows, common = b"", bytes(4 * k)
         if not item.terminal:
             rows = np.asarray(item.next_candidates, dtype=np.float32)
@@ -142,9 +143,9 @@ class ReplayBuffer:
                                  f"one or more rows of {width}")
             tail = rows.take(shared, axis=1).tobytes()
             common = tail[: 4 * k]
-            if tail != common * len(rows):  # bit for bit
+            if tail != common * len(rows):  # bit for bit: -0.0 is not 0.0
                 raise ValueError(f"next_candidates differ in shared columns {shared.tolist()}")
-            next_rows = rows.take(self.varying_columns, axis=1).tobytes()
+            next_rows = rows[:, lo:hi].tobytes()
         state_action = state_action.tobytes()
         reward, sojourn = float(item.reward), float(item.sojourn)
         slot = self._next
@@ -164,16 +165,16 @@ class ReplayBuffer:
 
     def gather(self, column: array, slots, k: int) -> np.ndarray:
         """`k` floats per slot of flat `column` at `slots`, copied: a live view blocks appends."""
-        return np.frombuffer(column, np.float32).reshape(self.size, k)[slots]
+        return np.frombuffer(column, np.float32).reshape(self.size, k).take(slots, axis=0)
 
     def next_candidates(self, slots) -> Tuple[np.ndarray, np.ndarray]:
         """The candidate rows of live `slots`, slot after slot, and each slot's row count."""
-        varying, shared = self.varying_columns, self.shared_columns
+        lo, hi, shared = self.lo, self.hi, self.shared_columns
         blocks = [self.next_rows[s] for s in slots]
-        sizes = np.array([len(b) for b in blocks]) // (4 * len(varying))
-        flat = np.frombuffer(b"".join(blocks), np.float32).reshape(-1, len(varying))
+        sizes = np.array([len(b) for b in blocks]) // (4 * (hi - lo))
+        flat = np.frombuffer(b"".join(blocks), np.float32).reshape(-1, hi - lo)
         rows = np.empty((len(flat), self.width), np.float32)  # float32 copies: bit-exact
-        rows[:, varying] = flat
+        rows[:, lo:hi] = flat
         rows[:, shared] = np.repeat(self.gather(self.shared, slots, len(shared)), sizes, axis=0)
         return rows, sizes
 
@@ -213,8 +214,8 @@ class DQNAgent:
         dims = (input_dim, *cfg.hidden_dims, 1)
         self.online = QNetwork(dims, rng=init_rng)
         self.target = self.online.clone()
-        shared = SHARED_COLUMNS.get(name, ()) if input_dim == FEATURE_DIM else ()
-        self.buffer = ReplayBuffer(cfg.buffer_capacity, shared)
+        varying = VARYING_COLUMNS.get(name) if input_dim == FEATURE_DIM else None
+        self.buffer = ReplayBuffer(cfg.buffer_capacity, varying or slice(None))
         self.explore_rng = explore_rng
         self.epsilon = cfg.epsilon_max
         self.train_mode = True

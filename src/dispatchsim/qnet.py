@@ -11,7 +11,6 @@ from __future__ import annotations
 import io
 import itertools
 import math
-import numbers
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,6 +37,19 @@ def smooth_l1_grad(prediction: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.clip(d, -1.0, 1.0)
 
 
+def layer_dims(dims: Sequence[int]) -> Tuple[int, ...]:
+    """`dims` as ints if they are at least two positive integers ending in 1; else ValueError.
+
+    One pass over `dims`.  An integer is a Python or numpy int (checking `numbers.Integral`
+    would triple the cost); a bool is not a layer size, though Python counts it an integer.
+    """
+    out = tuple([int(d) for d in dims
+                 if isinstance(d, (int, np.integer)) and type(d) is not bool and d > 0])
+    if len(out) != len(dims) or len(out) < 2 or out[-1] != 1:
+        raise ValueError(f"bad layer dims {tuple(dims)!r}, want positive sizes ending in 1")
+    return out
+
+
 class QNetwork:
     """MLP mapping a feature vector to a scalar q-value."""
 
@@ -51,10 +63,7 @@ class QNetwork:
         init: bool = True,
     ):
         """`init=False` leaves every parameter 0 and draws nothing, for copies and loads."""
-        # load_checkpoint's rule, in one pass: at least two positive integers ending in 1
-        self.dims = tuple(int(d) for d in dims if isinstance(d, numbers.Integral) and d > 0)
-        if len(self.dims) != len(dims) or len(dims) < 2 or dims[-1] != 1:
-            raise ValueError(f"bad layer dims {tuple(dims)!r}, want positive sizes ending in 1")
+        self.dims = layer_dims(dims)
         if not 0.0 <= leaky_slope <= 1.0:
             # the activation is computed as max(z, slope * z)
             raise ValueError(f"leaky_slope must be in [0, 1], got {leaky_slope}")
@@ -212,9 +221,11 @@ def load_checkpoint(path) -> Tuple[QNetwork, str]:
     try:
         dims = tuple(int(t) for t in lines[1].split())
     except ValueError:
-        dims = ()
-    if len(dims) < 2 or min(dims) < 1 or dims[-1] != 1:
-        raise ValueError(f"{path}: bad layer dims {lines[1]!r}, want positive sizes ending in 1")
+        dims = (lines[1],)  # not integers: refused, showing the line
+    try:
+        dims = layer_dims(dims)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     if len(lines) < 2 * len(dims):  # header, dims, then two lines per layer
         raise ValueError(f"{path}: truncated checkpoint")
     layers = []  # all sizes are checked before the network is allocated

@@ -22,7 +22,7 @@ from dispatchsim.agent import (
 )
 from dispatchsim.config import parse_lines
 from dispatchsim.engine import ProposalOutcome
-from dispatchsim.features import FEATURE_DIM, SHARED_COLUMNS
+from dispatchsim.features import FEATURE_DIM, VARYING_COLUMNS
 from dispatchsim.qnet import QNetwork
 
 
@@ -185,14 +185,15 @@ class ListBuffer:
         return self.items[self.next :] + self.items[: self.next]
 
 
-def random_transition(rng, rows, width=3, shared=()):
+def random_transition(rng, rows, width=3, varying=slice(None)):
     """A transition with `rows` next candidates, or a terminal one for None.
 
-    The candidate rows repeat the first row's values in the `shared` columns.
+    The candidate rows repeat the first row's values outside the `varying` columns.
     """
     candidates = None
     if rows is not None:
         candidates = rng.standard_normal((rows, width)).astype(np.float32)
+        shared = shared_columns(width, varying)
         candidates[:, shared] = candidates[0, shared]
     return Transition(
         state_action=rng.standard_normal(width).astype(np.float32),
@@ -204,8 +205,12 @@ def random_transition(rng, rows, width=3, shared=()):
 
 
 def layout(kind):
-    """(width, shared columns) of a buffer laid out for epoch `kind`, or for none."""
-    return (3, ()) if kind is None else (FEATURE_DIM, SHARED_COLUMNS[kind])
+    """(width, varying columns) of a buffer laid out for epoch `kind`, or for none."""
+    return (3, slice(None)) if kind is None else (FEATURE_DIM, VARYING_COLUMNS[kind])
+
+
+def shared_columns(width, varying):
+    return np.delete(np.arange(width), varying)
 
 
 def assert_same_transitions(got, expected):
@@ -228,11 +233,11 @@ def assert_same_transitions(got, expected):
     kind=st.sampled_from([None, "new_call", "free_vehicle"]),
 )
 def test_buffer_columns_match_a_list_of_transitions(capacity, pushes, seed, kind):
-    width, shared = layout(kind)
-    buf, ref = ReplayBuffer(capacity, shared), ListBuffer(capacity)
+    width, varying = layout(kind)
+    buf, ref = ReplayBuffer(capacity, varying), ListBuffer(capacity)
     rng = np.random.default_rng(seed)
     for rows in pushes:
-        item = random_transition(rng, rows, width, shared)
+        item = random_transition(rng, rows, width, varying)
         buf.push(item)
         ref.push(item)
         assert buf.size == len(ref.items)
@@ -249,12 +254,13 @@ def test_buffer_fills_and_wraps_like_a_list():
 
 def check_fill_and_wrap(kind):
     capacity = 600
-    width, shared = layout(kind)
-    buf, ref = ReplayBuffer(capacity, shared), ListBuffer(capacity)
+    width, varying = layout(kind)
+    shared = shared_columns(width, varying)
+    buf, ref = ReplayBuffer(capacity, varying), ListBuffer(capacity)
     rng = np.random.default_rng(11)
     for k in range(4 * capacity):
         rows = None if k % 5 == 0 else int(rng.integers(1, 13))
-        item = random_transition(rng, rows, width, shared)
+        item = random_transition(rng, rows, width, varying)
         buf.push(item)
         ref.push(item)
     assert_same_transitions(buf.snapshot(), ref.snapshot())
@@ -289,23 +295,24 @@ def test_buffer_refuses_a_push_of_another_width():
 
 @pytest.mark.parametrize("kind", ["new_call", "free_vehicle"])
 def test_buffer_refuses_candidates_that_differ_in_a_shared_column(kind):
-    width, shared = layout(kind)
-    buf = ReplayBuffer(4, shared)
-    kept = random_transition(np.random.default_rng(0), 3, width, shared)
+    width, varying = layout(kind)
+    shared = shared_columns(width, varying)
+    buf = ReplayBuffer(4, varying)
+    kept = random_transition(np.random.default_rng(0), 3, width, varying)
     buf.push(kept)
     for column in shared:
-        item = random_transition(np.random.default_rng(column), 3, width, shared)
+        item = random_transition(np.random.default_rng(column), 3, width, varying)
         item.next_candidates[2, column] += 1.0
         with pytest.raises(ValueError, match="shared columns"):
             buf.push(item)
     # -0.0 equals 0.0 but is another float32: the rebuilt row would differ
-    item = random_transition(np.random.default_rng(1), 2, width, shared)
+    item = random_transition(np.random.default_rng(1), 2, width, varying)
     item.next_candidates[:, shared[0]] = 0.0
     item.next_candidates[1, shared[0]] = -0.0
     with pytest.raises(ValueError, match="shared columns"):
         buf.push(item)
-    with pytest.raises(ValueError):  # shared columns beyond the row
-        ReplayBuffer(4, shared).push(random_transition(np.random.default_rng(2), 2, 4))
+    with pytest.raises(ValueError):  # varying columns beyond the row
+        ReplayBuffer(4, varying).push(random_transition(np.random.default_rng(2), 2, 4))
     assert buf.size == len(buf.next_rows) == 1
     assert (len(buf.state_action), len(buf.shared)) == (width, len(shared))
     assert_same_transitions(buf.snapshot(), [kept])
@@ -313,16 +320,15 @@ def test_buffer_refuses_candidates_that_differ_in_a_shared_column(kind):
 
 def test_new_call_buffer_keeps_each_vehicle_row_once():
     a = agent("new_call", input_dim=FEATURE_DIM)
-    shared = SHARED_COLUMNS["new_call"]
-    item = random_transition(np.random.default_rng(4), 200, FEATURE_DIM, shared)
+    item = random_transition(np.random.default_rng(4), 200, FEATURE_DIM, VARYING_COLUMNS["new_call"])
     a.buffer.push(item)
     full = item.next_candidates.nbytes  # 200 x 15 float32: 12,000 bytes
     held = len(a.buffer.next_rows[0]) + 4 * len(a.buffer.shared)
     assert held == 200 * 7 * 4 + 8 * 4 <= 0.5 * full
     assert_same_transitions(a.buffer.snapshot(), [item])
     # another name or input width shares no column
-    assert not len(agent("new_call", input_dim=4).buffer.shared_columns)
-    assert not len(agent("t", input_dim=FEATURE_DIM).buffer.shared_columns)
+    assert agent("new_call", input_dim=4).buffer.varying == slice(None)
+    assert agent("t", input_dim=FEATURE_DIM).buffer.varying == slice(None)
 
 
 def traced_bytes(fn, in_file=None):

@@ -76,7 +76,7 @@ def test_forward_accepts_single_vector():
 def test_rejects_bad_dims():
     # the rule and wording of load_checkpoint's dims line
     for dims in [(15,), (15, 8, 2), (15, 0, 1), (15, 2.5, 1), (0, 4, 1), (15, -3, 1),
-                 (15, "4", 1), (), (1,)]:
+                 (15, "4", 1), (15, True, 1), (), (1,)]:
         with pytest.raises(ValueError, match=r"^bad layer dims .*, want positive sizes"):
             QNetwork(dims)
 
