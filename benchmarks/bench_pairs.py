@@ -13,7 +13,8 @@ timed: a pure-Python loop plus a numpy L1 argmin, each the median of a few
 repeats; a slower host reads a larger `probe_s`, so records from different
 sittings can be read side by side.  The record keeps T, every run (its
 `probe_s`, metrics, correctness and the events or gradient steps of each
-round), a SHA-256 over each side's `src/` files, and per workload and end-to-end
+round), a SHA-256 over each side's `src/` files, the OpenBLAS kernel numpy
+loads on this host (`openblas_core`), and per workload and end-to-end
 metric: each side's quartiles, the parent's interquartile range, the pairs
 the change won and whether the change's median stays within the bound that
 `BENCHMARK.json` fixes.  A metric is `unresolved` when the parent's
@@ -28,6 +29,7 @@ several comparisons.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import platform
@@ -37,12 +39,14 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 ROUND = re.compile(r"^round: ([\d.]+) s, (\d+) events, (\d+) gradient steps")
 PROBE_REPEATS = 5
 PROBE_XY = np.random.default_rng(0).random((2, 1000))
+NUMPY_LIBS = Path(np.__file__).resolve().parent.with_name("numpy.libs")
 
 
 def _median_seconds(fn) -> float:
@@ -72,6 +76,21 @@ def _numpy_argmin() -> None:
 def probe() -> float:
     """Seconds the host takes for the fixed probe: the loop's median plus the argmin's."""
     return _median_seconds(_python_loop) + _median_seconds(_numpy_argmin)
+
+
+def openblas_core(libs: Path = NUMPY_LIBS) -> Optional[str]:
+    """The kernel numpy's bundled OpenBLAS in `libs` picked for this CPU, or None without one.
+
+    Training is byte-identical only on one kernel, so records name it.
+    """
+    found = sorted(libs.glob("*openblas*"))
+    if not found:
+        return None
+    corename = getattr(ctypes.CDLL(str(found[0])), "scipy_openblas_get_corename64_", None)
+    if corename is None:
+        return None
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
 
 
 def src_digest(root: Path) -> str:
@@ -179,6 +198,7 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "order": "pairs alternate which side runs first (field 'first')",
         "src_sha256": {side: src_digest(root) for side, root in roots.items()},
+        "openblas_core": openblas_core(),
         "summary": summarize(runs, end_to_end),
         "runs": runs,
     }

@@ -8,10 +8,10 @@ the checkout the script lives in.  Every run starts from an empty Hypothesis
 example database in a temporary directory, so no run replays examples an
 earlier one saved.  Runs write no pytest cache and no bytecode, and the JUnit
 report goes to the same temporary directory, so a run leaves nothing in the
-checkout.  The record keeps, per run, the wall time of the pytest process and
-the counts of passed, failed, errored and skipped tests; the median wall
-time over runs; and the ten tests with the largest median time (setup, call
-and teardown) over runs.
+checkout.  The record keeps the OpenBLAS kernel numpy loads on this host;
+per run, the wall time of the pytest process and the counts of passed,
+failed, errored and skipped tests; the median wall time over runs; and the
+ten tests with the largest median time (setup, call and teardown) over runs.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ import tempfile
 import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
+
+from bench_pairs import openblas_core
 
 ROOT = Path(__file__).resolve().parents[1]
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
@@ -76,6 +78,7 @@ def main(argv=None) -> int:
         "what": "wall time of the tier-1 suite, each run with an empty Hypothesis database",
         "machine": f"{platform.machine()}, {platform.system()}, "
                    f"Python {platform.python_version()}, {os.cpu_count()} CPUs",
+        "openblas_core": openblas_core(),
         "command": "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors "
                    "-p no:cacheprovider, from the root of the checkout",
         "median_wall_s": statistics.median(run["wall_s"] for run in runs),

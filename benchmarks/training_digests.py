@@ -6,9 +6,11 @@ For each seed, `run_training` runs on perfbench's `HARD_CONFIG` (40 days of
 1,000 calls served by 5 vehicles) with `seed=<seed>` put first, and writes
 its outputs into a temporary directory.  The JSON gives, per seed, each
 agent's gradient steps and the SHA-256 of both checkpoints and of
-`learning_curves.csv`.  Two checkouts train alike on those seeds exactly
-when they print the same JSON, so run it from both and compare.  The script
-imports `dispatchsim` and `HARD_CONFIG` from the checkout it lives in.
+`learning_curves.csv`; the key `openblas_core` names the OpenBLAS kernel
+numpy loaded, since the bytes hold only for that kernel.  Two checkouts
+train alike on those seeds exactly when they print the same JSON on the
+same kernel, so run it from both and compare.  The script imports
+`dispatchsim` and `HARD_CONFIG` from the checkout it lives in.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
+from bench_pairs import openblas_core  # noqa: E402
 from dispatchsim.config import parse_lines  # noqa: E402
 from dispatchsim.harness import run_training  # noqa: E402
 from perfbench.workloads import HARD_CONFIG  # noqa: E402
@@ -46,7 +49,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", default="1,2,3,4,5", help="comma-separated seeds (default: 1-5)")
     args = ap.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
-    print(json.dumps({str(seed): digests(seed) for seed in seeds}, indent=1))
+    out = {"openblas_core": openblas_core(), **{str(seed): digests(seed) for seed in seeds}}
+    print(json.dumps(out, indent=1))
     return 0
 
 

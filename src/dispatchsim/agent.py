@@ -6,12 +6,12 @@ and the target network evaluates it.  Discounting is continuous-time:
 a transition observed after sojourn tau is discounted by gamma**tau
 (equivalently e**(-beta*tau) with beta = -ln(gamma)).
 
-Each agent's replay buffer keeps one column per transition field.  A slot's
-next candidates keep the columns that differ between rows
-(`features.VARYING_COLUMNS` of its epoch kind) once per row, as its own
-float32 bytes, and the columns all rows share once per slot.  `Transition`
-is the unit a push takes and the view the test hooks `sample` and
-`snapshot` build; training never makes one per sample.
+Each agent's replay buffer keeps one column per transition field, and a
+push takes the arrays the agent holds.  A slot's next candidates keep the
+columns that differ between rows (`features.VARYING_COLUMNS` of its epoch
+kind) once per row, as its own float32 bytes, and the columns all rows
+share once per slot, read from row 0: `features` writes those columns as
+one broadcast, and the buffer relies on that without checking it.
 """
 
 from __future__ import annotations
@@ -82,37 +82,27 @@ def discounted_reward(reward: float, gamma: float, tau: float) -> float:
     return reward * (gamma**tau - 1.0) / (tau * (gamma - 1.0))
 
 
-@dataclass
-class Transition:
-    """One stored transition; what `ReplayBuffer` hands out are copies of its float32 values."""
-
-    state_action: np.ndarray  # chosen (state, action) feature vector
-    reward: float
-    sojourn: float
-    next_candidates: Optional[np.ndarray]  # None iff terminal
-    terminal: bool
-
-
 class ReplayBuffer:
     """Oldest-first eviction at `capacity` and uniform sampling, kept as columns.
 
-    The first push fixes the row `width`.  A transition's next-candidate rows
-    differ only in the columns of the slice `varying` (all by default) and
-    share the others, s floats a row.  Slot k holds its chosen row and its
-    shared values (zeros if terminal) at k * `width` and k * s of the flat
-    float32 arrays `state_action` and `shared`, `next_rows[k]`, the float32
-    bytes of its candidates' varying columns (`b""` exactly when terminal),
-    and `reward[k]` and `sojourn[k]`.  The columns grow by appends up to
-    `capacity` slots; then the oldest slot is overwritten.
+    The layout is fixed at construction.  Rows are `width` floats, and a
+    transition's next-candidate rows differ only in the columns lo:hi of the
+    slice `varying` (all by default) and share the others, s floats a row.
+    Slot k holds its chosen row and its shared values (zeros if terminal) at
+    k * `width` and k * s of the flat float32 arrays `state_action` and
+    `shared`, `next_rows[k]`, the float32 bytes of its candidates' varying
+    columns (`b""` exactly when terminal), and `reward[k]` and `sojourn[k]`.
+    The columns grow by appends up to `capacity` slots; then the oldest slot
+    is overwritten.
     """
 
-    def __init__(self, capacity: int, varying: slice = slice(None)):
+    def __init__(self, capacity: int, width: int, varying: slice = slice(None)):
+        lo, hi = varying.start or 0, width if varying.stop is None else varying.stop
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self.varying = varying
-        self.width = self.lo = self.hi = 0  # floats per row and varying columns lo:hi
-        self.shared_columns = np.arange(0)  # the others, all fixed by the first push
+        if not 0 <= lo < hi <= width:
+            raise ValueError(f"rows of {width} floats with columns {lo}:{hi} varying")
+        self.capacity, self.width, self.lo, self.hi = capacity, width, lo, hi
         self._next = 0  # the slot the next push writes
         self.state_action = array("f")
         self.shared = array("f")
@@ -124,30 +114,29 @@ class ReplayBuffer:
     def size(self) -> int:
         return len(self.reward)
 
-    def push(self, item: Transition) -> None:
-        state_action = np.asarray(item.state_action, dtype=np.float32)
-        if not self.reward:  # fixes the layout
-            self.width, stop = state_action.size, self.varying.stop
-            self.lo, self.hi = self.varying.start or 0, self.width if stop is None else stop
-            self.shared_columns = np.delete(np.arange(self.width), slice(self.lo, self.hi))
-        width, lo, hi, shared = self.width, self.lo, self.hi, self.shared_columns
-        k = len(shared)  # shared floats a row
-        if state_action.shape != (width,) or not 0 <= lo < hi <= width:
-            raise ValueError(f"state_action of shape {state_action.shape}, buffer holds {width} "
-                             f"with columns {lo}:{hi} varying")
-        next_rows, common = b"", bytes(4 * k)
-        if not item.terminal:
-            rows = np.asarray(item.next_candidates, dtype=np.float32)
+    def push(self, state_action: np.ndarray, reward: float, sojourn: float,
+             next_candidates: Optional[np.ndarray]) -> None:
+        """Store one transition; no next candidates means terminal.
+
+        The shared values are read from row 0 alone: `features` writes them
+        into every row as one broadcast, so the other rows hold the same bits.
+        """
+        width, lo, hi = self.width, self.lo, self.hi
+        k = width - hi + lo  # shared floats a row
+        state_action = np.asarray(state_action, dtype=np.float32)
+        if state_action.shape != (width,):
+            raise ValueError(f"state_action of shape {state_action.shape}, buffer holds {width}")
+        if next_candidates is None:
+            next_rows, common = b"", bytes(4 * k)
+        else:
+            rows = np.asarray(next_candidates, dtype=np.float32)
             if rows.ndim != 2 or rows.shape[1] != width or not len(rows):
                 raise ValueError(f"next_candidates of shape {rows.shape}, buffer holds "
                                  f"one or more rows of {width}")
-            tail = rows.take(shared, axis=1).tobytes()
-            common = tail[: 4 * k]
-            if tail != common * len(rows):  # bit for bit: -0.0 is not 0.0
-                raise ValueError(f"next_candidates differ in shared columns {shared.tolist()}")
-            next_rows = rows[:, lo:hi].tobytes()
+            row = rows[0].tobytes()
+            next_rows, common = rows[:, lo:hi].tobytes(), row[: 4 * lo] + row[4 * hi :]
         state_action = state_action.tobytes()
-        reward, sojourn = float(item.reward), float(item.sojourn)
+        reward, sojourn = float(reward), float(sojourn)
         slot = self._next
         if slot == self.size:  # still filling
             self.state_action.frombytes(state_action)
@@ -169,33 +158,15 @@ class ReplayBuffer:
 
     def next_candidates(self, slots) -> Tuple[np.ndarray, np.ndarray]:
         """The candidate rows of live `slots`, slot after slot, and each slot's row count."""
-        lo, hi, shared = self.lo, self.hi, self.shared_columns
+        lo, hi = self.lo, self.hi
         blocks = [self.next_rows[s] for s in slots]
         sizes = np.array([len(b) for b in blocks]) // (4 * (hi - lo))
         flat = np.frombuffer(b"".join(blocks), np.float32).reshape(-1, hi - lo)
+        common = np.repeat(self.gather(self.shared, slots, self.width - hi + lo), sizes, axis=0)
         rows = np.empty((len(flat), self.width), np.float32)  # float32 copies: bit-exact
         rows[:, lo:hi] = flat
-        rows[:, shared] = np.repeat(self.gather(self.shared, slots, len(shared)), sizes, axis=0)
+        rows[:, :lo], rows[:, hi:] = common[:, :lo], common[:, lo:]
         return rows, sizes
-
-    def _view(self, slot: int) -> Transition:
-        terminal = not self.next_rows[slot]
-        return Transition(
-            state_action=self.gather(self.state_action, [slot], self.width)[0],
-            reward=self.reward[slot],
-            sojourn=self.sojourn[slot],
-            next_candidates=None if terminal else self.next_candidates([slot])[0],
-            terminal=terminal,
-        )
-
-    def sample(self, n: int, rng: np.random.Generator) -> List[Transition]:
-        """`n` transitions drawn as `train_step` draws its minibatch (test hook)."""
-        return [self._view(slot) for slot in rng.integers(0, self.size, size=n).tolist()]
-
-    def snapshot(self) -> List[Transition]:
-        """Contents oldest-first (test hook)."""
-        order = [*range(self._next, self.size), *range(self._next)]
-        return [self._view(slot) for slot in order]
 
 
 class DQNAgent:
@@ -215,7 +186,7 @@ class DQNAgent:
         self.online = QNetwork(dims, rng=init_rng)
         self.target = self.online.clone()
         varying = VARYING_COLUMNS.get(name) if input_dim == FEATURE_DIM else None
-        self.buffer = ReplayBuffer(cfg.buffer_capacity, varying or slice(None))
+        self.buffer = ReplayBuffer(cfg.buffer_capacity, input_dim, varying or slice(None))
         self.explore_rng = explore_rng
         self.epsilon = cfg.epsilon_max
         self.train_mode = True
@@ -258,21 +229,9 @@ class DQNAgent:
         if self._pending is None:
             return
         state_action, reward, start = self._pending
-        terminal = candidates is None
-        self.buffer.push(
-            Transition(
-                state_action=state_action,
-                reward=reward,
-                sojourn=max(clock - start, MIN_SOJOURN),
-                next_candidates=candidates,  # the buffer copies the rows
-                terminal=terminal,
-            )
-        )
+        # the buffer copies the rows
+        self.buffer.push(state_action, reward, max(clock - start, MIN_SOJOURN), candidates)
         self._pending = None
-
-    def observe_epoch(self, candidates: np.ndarray, clock: float) -> None:
-        """Complete the pending transition with this epoch's candidate set."""
-        self._close_pending(clock, candidates)
 
     def arm_decision(self, state_action: np.ndarray, clock: float) -> None:
         self._armed = (state_action.copy(), clock)
@@ -390,7 +349,7 @@ def _decide(agent: DQNAgent, env, mat: np.ndarray, ids: list):
     if not ids:
         return None
     if agent.train_mode:
-        agent.observe_epoch(mat, env.clock)
+        agent._close_pending(env.clock, mat)
     idx = agent.act(mat)
     if agent.train_mode:
         agent.arm_decision(mat[idx], env.clock)

@@ -8,6 +8,7 @@ import sys
 
 from .config import SCENARIO_RATIOS, ConfigError, Scenario, _validate, parse_config, parse_lines
 from .demand import DemandError
+from .engine import SimulationAborted
 from .harness import (
     demand_source_from_config,
     emit_report,
@@ -71,7 +72,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, DemandError, FloatingPointError, OSError, ValueError) as exc:
+    except (ConfigError, DemandError, FloatingPointError, OSError, SimulationAborted,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -80,6 +82,8 @@ def _dispatch(args) -> int:
     cfg = _load_config(args)
 
     if args.verb == "simulate":
+        if not 0 <= args.day < 2**32:  # `substream` keeps a tag part's low 32 bits
+            raise ValueError(f"--day {args.day} out of range [0, 2**32)")
         scenario = Scenario(args.scenario)
         tag = ("cli", args.day)
         dqn_policy = None

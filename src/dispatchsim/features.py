@@ -19,9 +19,10 @@ FEATURE_DIM = 15
 # The columns that differ between the candidate rows of one epoch, by epoch
 # kind: the vehicle in a new-call epoch, the call in a free-vehicle epoch.
 # Every row shares the columns outside the range: the call and the context
-# (7-14), or the vehicle and the context (0-6 and 12-14).  A replay buffer
-# keeps those once per transition and refuses a matrix whose rows differ in
-# them, so this must change with the fill code below.
+# (7-14), or the vehicle and the context (0-6 and 12-14).  The builders below
+# write those as one broadcast, so every row holds the same bits there.  A
+# replay buffer keeps them once per transition, read from row 0 unchecked,
+# so this must change with the fill code below.
 VARYING_COLUMNS = {"new_call": slice(0, 7), "free_vehicle": slice(7, 12)}
 
 _TWO_PI_OVER_WEEK = 2.0 * math.pi / MINUTES_PER_WEEK

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from dispatchsim.agent import AgentConfig, DQNAgent, Transition, discounted_reward
+from dispatchsim.agent import AgentConfig, DQNAgent, discounted_reward
 from dispatchsim.config import parse_lines, serialize
 from dispatchsim.demand import StochasticConfig, sample_tolerance
 from dispatchsim.engine import Environment, build_fleet, run_day
@@ -227,9 +227,7 @@ def test_double_q_matches_value_iteration_on_toy_process():
     for s in range(2):
         for a in range(2):
             for _ in range(32):
-                agent.buffer.push(
-                    Transition(feat(s, a), R[s][a], TAU[s][a], cands(NS[s][a]), False)
-                )
+                agent.buffer.push(feat(s, a), R[s][a], TAU[s][a], cands(NS[s][a]))
     for _ in range(9000):
         agent.train_step()
 

@@ -3,6 +3,7 @@
 import copy
 import math
 import tracemalloc
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from dispatchsim.agent import (
     AgentConfig,
     DQNAgent,
     ReplayBuffer,
-    Transition,
     discounted_reward,
     plain_reward,
 )
@@ -120,38 +120,61 @@ def test_config_accepts_the_edges_of_its_ranges(field, value):
 # -- replay buffer ---------------------------------------------------------------
 
 
-def tr(reward, dim=4):
-    return Transition(
-        state_action=np.zeros(dim, dtype=np.float32),
-        reward=float(reward),
-        sojourn=1.0,
-        next_candidates=None,
-        terminal=True,
+class Stored(NamedTuple):
+    """One transition, as pushed or as read back from a buffer's columns."""
+
+    state_action: np.ndarray  # chosen (state, action) feature vector
+    reward: float
+    sojourn: float
+    next_candidates: Optional[np.ndarray]  # None iff terminal
+
+
+def view(buf, slot):
+    live = bool(buf.next_rows[slot])
+    return Stored(
+        state_action=buf.gather(buf.state_action, [slot], buf.width)[0],
+        reward=buf.reward[slot],
+        sojourn=buf.sojourn[slot],
+        next_candidates=buf.next_candidates([slot])[0] if live else None,
     )
 
 
+def snapshot(buf):
+    """The buffer's transitions, oldest first."""
+    return [view(buf, slot) for slot in [*range(buf._next, buf.size), *range(buf._next)]]
+
+
+def sample(buf, n, rng):
+    """`n` transitions drawn as `train_step` draws its minibatch."""
+    return [view(buf, slot) for slot in rng.integers(0, buf.size, size=n).tolist()]
+
+
+def tr(reward, dim=4):
+    return Stored(np.zeros(dim, dtype=np.float32), float(reward), 1.0, None)
+
+
 def test_buffer_evicts_oldest_first():
-    buf = ReplayBuffer(3)
+    buf = ReplayBuffer(3, 4)
     for i in range(5):
-        buf.push(tr(i))
+        buf.push(*tr(i))
     assert buf.size == 3
-    assert [t.reward for t in buf.snapshot()] == [2.0, 3.0, 4.0]
+    assert [t.reward for t in snapshot(buf)] == [2.0, 3.0, 4.0]
 
 
 def test_buffer_snapshot_before_wrap():
-    buf = ReplayBuffer(10)
+    buf = ReplayBuffer(10, 4)
     for i in range(4):
-        buf.push(tr(i))
-    assert [t.reward for t in buf.snapshot()] == [0.0, 1.0, 2.0, 3.0]
+        buf.push(*tr(i))
+    assert [t.reward for t in snapshot(buf)] == [0.0, 1.0, 2.0, 3.0]
 
 
 def test_buffer_sampling_is_uniform_over_contents():
-    buf = ReplayBuffer(4)
+    buf = ReplayBuffer(4, 4)
     for i in range(4):
-        buf.push(tr(i))
+        buf.push(*tr(i))
     rng = np.random.default_rng(0)
     counts = {float(i): 0 for i in range(4)}
-    for t in buf.sample(20_000, rng):
+    for t in sample(buf, 20_000, rng):
         counts[t.reward] += 1
     for c in counts.values():
         assert abs(c / 20_000 - 0.25) < 0.02
@@ -159,7 +182,20 @@ def test_buffer_sampling_is_uniform_over_contents():
 
 def test_buffer_rejects_bad_capacity():
     with pytest.raises(ValueError):
-        ReplayBuffer(0)
+        ReplayBuffer(0, 4)
+
+
+@pytest.mark.parametrize("width, varying", [
+    (4, VARYING_COLUMNS["new_call"]),  # varying columns beyond the row
+    (4, VARYING_COLUMNS["free_vehicle"]),
+    (FEATURE_DIM, slice(3, 3)),
+    (FEATURE_DIM, slice(5, 2)),
+    (FEATURE_DIM, slice(-1, None)),
+    (0, slice(None)),
+])
+def test_buffer_refuses_a_layout_without_varying_columns_in_its_rows(width, varying):
+    with pytest.raises(ValueError, match="varying"):
+        ReplayBuffer(4, width, varying)
 
 
 class ListBuffer:
@@ -188,19 +224,19 @@ class ListBuffer:
 def random_transition(rng, rows, width=3, varying=slice(None)):
     """A transition with `rows` next candidates, or a terminal one for None.
 
-    The candidate rows repeat the first row's values outside the `varying` columns.
+    The candidate rows repeat the first row's values outside the `varying`
+    columns, as `features` writes them.
     """
     candidates = None
     if rows is not None:
         candidates = rng.standard_normal((rows, width)).astype(np.float32)
         shared = shared_columns(width, varying)
         candidates[:, shared] = candidates[0, shared]
-    return Transition(
+    return Stored(
         state_action=rng.standard_normal(width).astype(np.float32),
         reward=float(rng.uniform(-5.0, 5.0)),
         sojourn=float(rng.uniform(0.0, 30.0)),
         next_candidates=candidates,
-        terminal=rows is None,
     )
 
 
@@ -218,7 +254,7 @@ def assert_same_transitions(got, expected):
     for g, e in zip(got, expected):
         np.testing.assert_array_equal(g.state_action, e.state_action)
         assert g.state_action.dtype == np.float32
-        assert (g.reward, g.sojourn, g.terminal) == (e.reward, e.sojourn, e.terminal)
+        assert (g.reward, g.sojourn) == (e.reward, e.sojourn)
         if e.next_candidates is None:
             assert g.next_candidates is None
         else:
@@ -234,16 +270,16 @@ def assert_same_transitions(got, expected):
 )
 def test_buffer_columns_match_a_list_of_transitions(capacity, pushes, seed, kind):
     width, varying = layout(kind)
-    buf, ref = ReplayBuffer(capacity, varying), ListBuffer(capacity)
+    buf, ref = ReplayBuffer(capacity, width, varying), ListBuffer(capacity)
     rng = np.random.default_rng(seed)
     for rows in pushes:
         item = random_transition(rng, rows, width, varying)
-        buf.push(item)
+        buf.push(*item)
         ref.push(item)
         assert buf.size == len(ref.items)
-        assert_same_transitions(buf.snapshot(), ref.snapshot())
+        assert_same_transitions(snapshot(buf), ref.snapshot())
         assert_same_transitions(
-            buf.sample(5, np.random.default_rng(seed)), ref.sample(5, np.random.default_rng(seed))
+            sample(buf, 5, np.random.default_rng(seed)), ref.sample(5, np.random.default_rng(seed))
         )
 
 
@@ -256,79 +292,88 @@ def check_fill_and_wrap(kind):
     capacity = 600
     width, varying = layout(kind)
     shared = shared_columns(width, varying)
-    buf, ref = ReplayBuffer(capacity, varying), ListBuffer(capacity)
+    buf, ref = ReplayBuffer(capacity, width, varying), ListBuffer(capacity)
     rng = np.random.default_rng(11)
     for k in range(4 * capacity):
         rows = None if k % 5 == 0 else int(rng.integers(1, 13))
         item = random_transition(rng, rows, width, varying)
-        buf.push(item)
+        buf.push(*item)
         ref.push(item)
-    assert_same_transitions(buf.snapshot(), ref.snapshot())
+    assert_same_transitions(snapshot(buf), ref.snapshot())
     assert_same_transitions(
-        buf.sample(200, np.random.default_rng(3)), ref.sample(200, np.random.default_rng(3))
+        sample(buf, 200, np.random.default_rng(3)), ref.sample(200, np.random.default_rng(3))
     )
     # the slots' bytes are exactly the varying columns of the rows held, and
     # the flat arrays hold one chosen row and one set of shared values a slot
     assert sum(map(len, buf.next_rows)) == 4 * (width - len(shared)) * sum(
-        0 if t.terminal else len(t.next_candidates) for t in ref.items
+        0 if t.next_candidates is None else len(t.next_candidates) for t in ref.items
     )
     assert (len(buf.state_action), len(buf.shared)) == (width * capacity, len(shared) * capacity)
 
 
 def test_buffer_refuses_a_push_of_another_width():
-    buf = ReplayBuffer(4)
-    buf.push(random_transition(np.random.default_rng(0), 2, width=3))
+    buf = ReplayBuffer(4, 3)
+    buf.push(*random_transition(np.random.default_rng(0), 2, width=3))
     with pytest.raises(ValueError):
-        buf.push(random_transition(np.random.default_rng(1), None, width=4))
+        buf.push(*random_transition(np.random.default_rng(1), None, width=4))
     with pytest.raises(ValueError):
-        buf.push(
-            Transition(np.zeros(3, np.float32), 0.0, 1.0, np.zeros((2, 4), np.float32), False)
-        )
+        buf.push(np.zeros(3, np.float32), 0.0, 1.0, np.zeros((2, 4), np.float32))
+    with pytest.raises(ValueError):
+        buf.push(np.zeros(3, np.float32), 0.0, 1.0, np.zeros(3, np.float32))
     with pytest.raises(ValueError):  # a live transition needs a next candidate
-        buf.push(
-            Transition(np.zeros(3, np.float32), 0.0, 1.0, np.zeros((0, 3), np.float32), False)
-        )
+        buf.push(np.zeros(3, np.float32), 0.0, 1.0, np.zeros((0, 3), np.float32))
     with pytest.raises(TypeError):  # refused before any column is written
-        buf.push(Transition(np.zeros(3, np.float32), None, 1.0, None, True))
+        buf.push(np.zeros(3, np.float32), None, 1.0, None)
     assert buf.size == len(buf.next_rows) == 1 and len(buf.state_action) == buf.width == 3
-
-
-@pytest.mark.parametrize("kind", ["new_call", "free_vehicle"])
-def test_buffer_refuses_candidates_that_differ_in_a_shared_column(kind):
-    width, varying = layout(kind)
-    shared = shared_columns(width, varying)
-    buf = ReplayBuffer(4, varying)
-    kept = random_transition(np.random.default_rng(0), 3, width, varying)
-    buf.push(kept)
-    for column in shared:
-        item = random_transition(np.random.default_rng(column), 3, width, varying)
-        item.next_candidates[2, column] += 1.0
-        with pytest.raises(ValueError, match="shared columns"):
-            buf.push(item)
-    # -0.0 equals 0.0 but is another float32: the rebuilt row would differ
-    item = random_transition(np.random.default_rng(1), 2, width, varying)
-    item.next_candidates[:, shared[0]] = 0.0
-    item.next_candidates[1, shared[0]] = -0.0
-    with pytest.raises(ValueError, match="shared columns"):
-        buf.push(item)
-    with pytest.raises(ValueError):  # varying columns beyond the row
-        ReplayBuffer(4, varying).push(random_transition(np.random.default_rng(2), 2, 4))
-    assert buf.size == len(buf.next_rows) == 1
-    assert (len(buf.state_action), len(buf.shared)) == (width, len(shared))
-    assert_same_transitions(buf.snapshot(), [kept])
 
 
 def test_new_call_buffer_keeps_each_vehicle_row_once():
     a = agent("new_call", input_dim=FEATURE_DIM)
     item = random_transition(np.random.default_rng(4), 200, FEATURE_DIM, VARYING_COLUMNS["new_call"])
-    a.buffer.push(item)
+    a.buffer.push(*item)
     full = item.next_candidates.nbytes  # 200 x 15 float32: 12,000 bytes
     held = len(a.buffer.next_rows[0]) + 4 * len(a.buffer.shared)
     assert held == 200 * 7 * 4 + 8 * 4 <= 0.5 * full
-    assert_same_transitions(a.buffer.snapshot(), [item])
+    assert_same_transitions(snapshot(a.buffer), [item])
     # another name or input width shares no column
-    assert agent("new_call", input_dim=4).buffer.varying == slice(None)
-    assert agent("t", input_dim=FEATURE_DIM).buffer.varying == slice(None)
+    for other in (agent("new_call", input_dim=4), agent("t", input_dim=FEATURE_DIM)):
+        assert (other.buffer.lo, other.buffer.hi) == (0, other.buffer.width)
+
+
+def test_every_stored_slot_rebuilds_the_matrix_features_built(monkeypatch):
+    # the buffer keeps the shared columns of row 0 only, so this holds only
+    # while `features` writes them into every row as one broadcast
+    handed = {}  # (agent, slot) -> the last candidate matrix pushed there
+    pushed = []  # the agent of every push
+    close_pending = DQNAgent._close_pending
+
+    def record(self, clock, candidates):
+        if self._pending is not None:
+            handed[self.name, self.buffer._next] = None if candidates is None else candidates.copy()
+            pushed.append(self.name)
+        close_pending(self, clock, candidates)
+
+    monkeypatch.setattr(DQNAgent, "_close_pending", record)
+    cfg = parse_lines([
+        "seed=5", "train_daily_calls=120", "train_days=2", "scenarios=hard,easy",
+        "learning_starts=50", "batch_size=8", "update_steps=40", "buffer_capacity=150",
+    ])
+    policy, _curves, _days = harness.run_training(cfg)
+    for a in (policy.new_call_agent, policy.free_vehicle_agent):
+        buf = a.buffer
+        slots = sorted(slot for name, slot in handed if name == a.name)
+        assert pushed.count(a.name) > buf.capacity  # some slots were overwritten
+        assert slots == list(range(buf.capacity))
+        live = [slot for slot in slots if handed[a.name, slot] is not None]
+        assert 0 < len(live) < len(slots)
+        for slot in slots:
+            mat = handed[a.name, slot]
+            if mat is None:
+                assert not buf.next_rows[slot]
+            else:
+                rows, sizes = buf.next_candidates([slot])
+                assert rows.shape == mat.shape and sizes.tolist() == [len(mat)]
+                assert rows.tobytes() == mat.tobytes()
 
 
 def traced_bytes(fn, in_file=None):
@@ -345,14 +390,14 @@ def traced_bytes(fn, in_file=None):
 
 
 def test_an_empty_buffer_allocates_no_columns():
-    assert traced_bytes(lambda: ReplayBuffer(10**12)) < 64 * 1024
-    buf = ReplayBuffer(10**12)
+    assert traced_bytes(lambda: ReplayBuffer(10**12, 3)) < 64 * 1024
+    buf = ReplayBuffer(10**12, 3)
     rng = np.random.default_rng(2)
     items = [random_transition(rng, rows) for rows in (3, None, 1, 12)]
     for item in items:
-        buf.push(item)
+        buf.push(*item)
     assert buf.size == 4
-    assert_same_transitions(buf.snapshot(), items)
+    assert_same_transitions(snapshot(buf), items)
 
 
 def test_fresh_dqn_policy_allocates_no_buffer_columns():
@@ -459,12 +504,11 @@ def test_pending_transition_completes_at_next_epoch():
     a.resolve_proposal(ProposalOutcome.ACCEPTED, eta=2.0, drive=4.0)
     assert a.buffer.size == 0  # still pending
     nxt = cands(0.5, 0.6)
-    a.observe_epoch(nxt, clock=16.0)
+    a._close_pending(16.0, nxt)
     assert a.buffer.size == 1
-    t = a.buffer.snapshot()[0]
+    t = snapshot(a.buffer)[0]
     np.testing.assert_array_equal(t.state_action, feat(1.0))
     assert t.sojourn == pytest.approx(6.0)
-    assert not t.terminal
     np.testing.assert_array_equal(t.next_candidates, nxt)
     expected = discounted_reward(plain_reward(4.0, a.cfg.reward_bonus), a.cfg.gamma, 6.0)
     assert t.reward == pytest.approx(expected)
@@ -475,8 +519,8 @@ def test_rejected_proposal_stores_zero_reward():
     for outcome in (ProposalOutcome.DRIVER_REJECTED, ProposalOutcome.CUSTOMER_REJECTED):
         a.arm_decision(feat(2.0), clock=0.0)
         a.resolve_proposal(outcome, eta=1.0, drive=1.0)
-        a.observe_epoch(cands(0.0), clock=3.0)
-    rewards = [t.reward for t in a.buffer.snapshot()]
+        a._close_pending(3.0, cands(0.0))
+    rewards = [t.reward for t in snapshot(a.buffer)]
     assert rewards == [0.0, 0.0]
 
 
@@ -485,8 +529,7 @@ def test_day_end_marks_pending_terminal():
     a.arm_decision(feat(3.0), clock=100.0)
     a.resolve_proposal(ProposalOutcome.ACCEPTED, eta=1.0, drive=1.0)
     a.finish_day(clock=1440.0)
-    t = a.buffer.snapshot()[0]
-    assert t.terminal
+    t = snapshot(a.buffer)[0]
     assert t.next_candidates is None
     assert t.sojourn == pytest.approx(1340.0)
 
@@ -495,20 +538,20 @@ def test_same_timestamp_epochs_get_positive_sojourn():
     a = agent()
     a.arm_decision(feat(1.0), clock=50.0)
     a.resolve_proposal(ProposalOutcome.ACCEPTED, eta=1.0, drive=1.0)
-    a.observe_epoch(cands(0.0), clock=50.0)
-    assert a.buffer.snapshot()[0].sojourn == MIN_SOJOURN
+    a._close_pending(50.0, cands(0.0))
+    assert snapshot(a.buffer)[0].sojourn == MIN_SOJOURN
 
 
 def test_epoch_without_pending_records_nothing():
     a = agent()
-    a.observe_epoch(cands(0.0), clock=5.0)
+    a._close_pending(5.0, cands(0.0))
     assert a.buffer.size == 0
 
 
 def test_unarmed_resolution_is_ignored():
     a = agent()
     a.resolve_proposal(ProposalOutcome.ACCEPTED, eta=1.0, drive=1.0)
-    a.observe_epoch(cands(0.0), clock=5.0)
+    a._close_pending(5.0, cands(0.0))
     assert a.buffer.size == 0
 
 
@@ -518,10 +561,10 @@ def test_unarmed_resolution_is_ignored():
 def test_no_training_below_warmup():
     a = agent(learning_starts=100, buffer_capacity=200)
     for _ in range(99):
-        a.buffer.push(tr(1.0))
+        a.buffer.push(*tr(1.0))
     assert a.train_step() is None
     assert a.gradient_steps == 0
-    a.buffer.push(tr(1.0))
+    a.buffer.push(*tr(1.0))
     assert a.train_step() is not None
     assert a.gradient_steps == 1
 
@@ -554,14 +597,8 @@ def test_double_q_target_uses_online_argmax_target_value():
     # online prefers candidate 1, target values it at 5
     make_linear(a.online, (1.0, 2.0))
     make_linear(a.target, (7.0, 5.0))
-    t = Transition(
-        state_action=np.array([0.3, 0.4], dtype=np.float32),
-        reward=2.0,
-        sojourn=3.0,
-        next_candidates=nxt,
-        terminal=False,
-    )
-    a.buffer.push(t)
+    t = Stored(np.array([0.3, 0.4], dtype=np.float32), 2.0, 3.0, nxt)
+    a.buffer.push(*t)
 
     q_online = a.online.forward(nxt)
     assert int(np.argmax(q_online)) == 1
@@ -590,7 +627,7 @@ def reference_targets(a, batch):
     """Per-sample double-q targets: one online and one target forward each."""
     y = np.empty(len(batch), dtype=np.float32)
     for i, t in enumerate(batch):
-        if t.terminal:
+        if t.next_candidates is None:
             y[i] = t.reward
         else:
             best = int(np.argmax(a.online.forward(t.next_candidates)))
@@ -607,22 +644,17 @@ def test_batched_targets_match_per_sample_reference():
     for k in range(12):
         rows = (1, 2, 7, None)[k % 4]
         a.buffer.push(
-            Transition(
-                state_action=rng.standard_normal(4).astype(np.float32),
-                reward=float(rng.uniform(0.0, 10.0)),
-                sojourn=float(rng.uniform(0.5, 30.0)),
-                next_candidates=(
-                    None if rows is None
-                    else rng.standard_normal((rows, 4)).astype(np.float32)
-                ),
-                terminal=rows is None,
-            )
+            rng.standard_normal(4).astype(np.float32),
+            float(rng.uniform(0.0, 10.0)),
+            float(rng.uniform(0.5, 30.0)),
+            None if rows is None else rng.standard_normal((rows, 4)).astype(np.float32),
         )
     seen = capture_targets(a)
     for _ in range(5):
-        batch = a.buffer.sample(a.cfg.batch_size, copy.deepcopy(a.explore_rng))
+        batch = sample(a.buffer, a.cfg.batch_size, copy.deepcopy(a.explore_rng))
         expected = reference_targets(a, batch)
-        assert any(t.terminal for t in batch) and not all(t.terminal for t in batch)
+        terminal = [t.next_candidates is None for t in batch]
+        assert any(terminal) and not all(terminal)
         a.train_step()
         np.testing.assert_allclose(seen[-1], expected, rtol=1e-6)
 
@@ -634,42 +666,21 @@ def test_batched_target_breaks_online_ties_by_first_row():
     make_linear(a.online, (1.0, 1.0))
     make_linear(a.target, (7.0, 5.0))
     nxt = np.array([[0.5, 0.0], [1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
-    a.buffer.push(
-        Transition(
-            state_action=np.array([0.3, 0.4], dtype=np.float32),
-            reward=2.0,
-            sojourn=3.0,
-            next_candidates=nxt,
-            terminal=False,
-        )
-    )
-    a.buffer.push(
-        Transition(
-            state_action=np.array([0.1, 0.2], dtype=np.float32),
-            reward=4.0,
-            sojourn=1.0,
-            next_candidates=None,
-            terminal=True,
-        )
-    )
+    a.buffer.push(np.array([0.3, 0.4], dtype=np.float32), 2.0, 3.0, nxt)
+    a.buffer.push(np.array([0.1, 0.2], dtype=np.float32), 4.0, 1.0, None)
     seen = capture_targets(a)
-    batch = a.buffer.sample(a.cfg.batch_size, copy.deepcopy(a.explore_rng))
-    assert any(t.terminal for t in batch) and not all(t.terminal for t in batch)
+    batch = sample(a.buffer, a.cfg.batch_size, copy.deepcopy(a.explore_rng))
+    terminal = [t.next_candidates is None for t in batch]
+    assert any(terminal) and not all(terminal)
     a.train_step()
-    expected = [4.0 if t.terminal else 2.0 + 0.9**3.0 * 7.0 for t in batch]
+    expected = [4.0 if end else 2.0 + 0.9**3.0 * 7.0 for end in terminal]
     np.testing.assert_allclose(seen[0], expected, rtol=1e-6)
 
 
 def test_terminal_target_is_plain_reward():
     a = agent(input_dim=2, learning_starts=1, batch_size=1)
-    t = Transition(
-        state_action=np.array([0.2, 0.1], dtype=np.float32),
-        reward=4.0,
-        sojourn=10.0,
-        next_candidates=None,
-        terminal=True,
-    )
-    a.buffer.push(t)
+    t = Stored(np.array([0.2, 0.1], dtype=np.float32), 4.0, 10.0, None)
+    a.buffer.push(*t)
     pred = float(a.online.forward(t.state_action)[0])
     loss = a.train_step()
     d = abs(pred - 4.0)
@@ -679,15 +690,7 @@ def test_terminal_target_is_plain_reward():
 
 def test_target_sync_cadence():
     a = agent(input_dim=2, learning_starts=1, batch_size=1, update_steps=3)
-    a.buffer.push(
-        Transition(
-            state_action=np.ones(2, dtype=np.float32),
-            reward=1.0,
-            sojourn=1.0,
-            next_candidates=None,
-            terminal=True,
-        )
-    )
+    a.buffer.push(np.ones(2, dtype=np.float32), 1.0, 1.0, None)
     before = a.target.weights[0].copy()
     a.train_step()
     a.train_step()
@@ -699,15 +702,7 @@ def test_target_sync_cadence():
 
 def test_accepted_proposal_triggers_training_once_warm():
     a = agent(input_dim=4, learning_starts=1, batch_size=1)
-    a.buffer.push(
-        Transition(
-            state_action=feat(0.5),
-            reward=1.0,
-            sojourn=1.0,
-            next_candidates=None,
-            terminal=True,
-        )
-    )
+    a.buffer.push(feat(0.5), 1.0, 1.0, None)
     a.arm_decision(feat(1.0), clock=0.0)
     a.resolve_proposal(ProposalOutcome.ACCEPTED, eta=1.0, drive=1.0)
     assert a.gradient_steps == 1

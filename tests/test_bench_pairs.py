@@ -33,6 +33,7 @@ def fake_runs(monkeypatch):
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     monkeypatch.setattr(bench_pairs, "probe", probe)
     monkeypatch.setattr(bench_pairs, "src_digest", lambda root: root.name)
+    monkeypatch.setattr(bench_pairs, "openblas_core", lambda: "TestCore")
     return calls
 
 
@@ -71,6 +72,19 @@ def test_probe_is_timed_before_each_run_and_kept_with_it(tmp_path, fake_runs):
     _main(tmp_path, out)
     assert fake_runs[::2] == ["probe"] * 4 and "probe" not in fake_runs[1::2]
     assert [r["probe_s"] for r in json.loads(out.read_text())["runs"]] == [0.25] * 4
+
+
+def test_the_record_names_the_openblas_kernel(tmp_path, fake_runs):
+    out = tmp_path / "core.json"
+    _main(tmp_path, out)
+    _main(tmp_path, out, "--append")
+    assert [r["openblas_core"] for r in json.loads(out.read_text())] == ["TestCore"] * 2
+
+
+def test_openblas_core_names_the_kernel_of_numpys_bundled_library(tmp_path):
+    core = bench_pairs.openblas_core()  # SkylakeX, Haswell, Zen, ...
+    assert core is None or core.isalnum()
+    assert bench_pairs.openblas_core(tmp_path) is None  # no bundled library
 
 
 def test_probe_times_the_host():

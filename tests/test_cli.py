@@ -92,6 +92,27 @@ def test_config_seed_outside_32_bits_exits_2(cfg_file, capsys):
     assert "error: key 'seed': value -5 out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("day", ["-1", "4294967296", "12345678901234567890"])
+def test_day_outside_32_bits_exits_2(cfg_file, capsys, day):
+    # -1 and 4294967295 used to draw the same day
+    assert main(["simulate", "--config", str(cfg_file), "--day", day]) == 2
+    assert f"error: --day {day} out of range [0, 2**32)" in capsys.readouterr().err
+
+
+def test_day_at_the_edges_of_32_bits_runs(cfg_file, capsys):
+    for day in ("0", "4294967295"):
+        assert main(["simulate", "--config", str(cfg_file), "--day", day]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("verb", ["simulate", "train"])
+def test_event_ceiling_exits_2(cfg_file, tmp_path, capsys, verb):
+    # before, both died with a SimulationAborted traceback and exit code 1
+    cfg_file.write_text(cfg_file.read_text() + "max_events_per_day=10\n")
+    assert main([verb, "--config", str(cfg_file), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "error: event ceiling 10 exceeded at t=" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("verb, line", [("train", "scenarios="), ("evaluate", "policies=")])
 def test_empty_scenario_or_policy_list_exits_2(cfg_file, tmp_path, capsys, verb, line):
     # before, train ran 0 days and evaluate wrote a header-only report, both exiting 0

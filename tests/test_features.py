@@ -3,13 +3,14 @@
 import math
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispatchsim.engine import Environment
 from dispatchsim.entities import Call, Vehicle
 from dispatchsim.features import (
     FEATURE_DIM,
+    VARYING_COLUMNS,
     context_features,
     free_vehicle_candidates,
     new_call_candidates,
@@ -148,3 +149,39 @@ def test_empty_pool_gives_empty_matrix():
     mat, ids = free_vehicle_candidates(env, env.fleet[0])
     assert mat.shape == (0, FEATURE_DIM)
     assert ids == []
+
+
+unit = st.floats(0.0, 1.0)
+minute = st.floats(0.0, 1440.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    vehicles=st.lists(
+        st.tuples(unit, unit, unit, unit, st.booleans(), minute, unit), min_size=1, max_size=8
+    ),
+    pooled=st.lists(st.tuples(minute, unit, unit, unit, unit), max_size=10),
+    new=st.tuples(minute, unit, unit, unit, unit),
+    clock=minute,
+    offset=st.floats(0.0, 10080.0),
+    arrivals=st.lists(minute, max_size=6),
+)
+def test_rows_repeat_row_0_bit_for_bit_outside_the_varying_columns(
+    vehicles, pooled, new, clock, offset, arrivals
+):
+    # a replay buffer keeps these columns of row 0 only
+    fleet = []
+    for i, (x, y, mx, my, busy, free_at, reject) in enumerate(vehicles):
+        v = vehicle(i, x, y, busy=busy, free_at=free_at, reject=reject)
+        v.move_destination = Coordinate(mx, my)
+        fleet.append(v)
+    env = _bare_env(fleet, clock=clock, offset=offset)
+    env.recent_arrivals.extend(sorted(arrivals))
+    env.calls = [call(i, *facts) for i, facts in enumerate(pooled)]
+    for c in env.calls:
+        env.pool.add(c.id)
+    matrices = [("new_call", new_call_candidates(env, call(len(pooled), *new))[0])]
+    matrices += [("free_vehicle", free_vehicle_candidates(env, v)[0]) for v in env.fleet]
+    for kind, mat in matrices:
+        shared = np.delete(mat, VARYING_COLUMNS[kind], axis=1)
+        assert all(row.tobytes() == shared[0].tobytes() for row in shared)
