@@ -4,8 +4,12 @@
         --workloads day_nn_100k,train_hard,eval_easy_10k --seeds 1,2,3,4,5 \
         --what "one line on the change" --out BENCH_topic.json
 
-For every workload and seed, both checkouts run
-`perfbench/run.py --workload W --seed S --seconds T --trace 0` from their own
+Each side runs from a fresh copy of its checkout: the files `git ls-files`
+lists there, with their working-tree contents, copied into a new temporary
+directory beside it, which is deleted at the end (the same `src/` read
+`train_hard` 14% slower from a working checkout than from such a copy).
+For every workload and seed, both copies run
+`perfbench/run.py --workload W --seed S --seconds T --trace 0` from their
 root, one run at a time.  T is `--seconds`: 5 by default, as the benchmark
 runs it; a larger T makes runs of more rounds.  Pairs alternate which side
 runs first, because the host drifts.  Before each run a fixed probe is
@@ -13,11 +17,14 @@ timed: a pure-Python loop plus a numpy L1 argmin, each the median of a few
 repeats; a slower host reads a larger `probe_s`, so records from different
 sittings can be read side by side.  The record keeps T, every run (its
 `probe_s`, metrics, correctness and the events or gradient steps of each
-round), a SHA-256 over each side's `src/` files, the OpenBLAS kernel numpy
+round), a SHA-256 over the `src/` files of each side's copy, the OpenBLAS kernel numpy
 loads on this host (`openblas_core`), and per workload and end-to-end
 metric: each side's quartiles, the parent's interquartile range, the pairs
-the change won and whether the change's median stays within the bound that
-`BENCHMARK.json` fixes.  A metric is `unresolved` when the parent's
+the change won (a tie is no win), whether the change's median stays within
+the bound that `BENCHMARK.json` fixes, and `claim_met`: whether the change
+won at least nine tenths of the pairs and its median beats the parent's by
+more than the parent's interquartile range, the rule a claimed gain must
+meet.  A metric is `unresolved` when the parent's
 interquartile range is wider than the bound times the parent's median, as
 the runs then spread too widely to tell a change within the bound from
 none, unless every change run reads better than every parent run.  With
@@ -32,11 +39,14 @@ import argparse
 import ctypes
 import hashlib
 import json
+import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import Optional
@@ -101,6 +111,20 @@ def src_digest(root: Path) -> str:
     return digest.hexdigest()
 
 
+def fresh_copy(root: Path, side: str) -> Path:
+    """A new directory beside `root` holding the files git tracks in `root`, as they are there."""
+    proc = subprocess.run(["git", "ls-files", "-z"], cwd=root, capture_output=True, check=False)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: git ls-files in {root} failed:\n{proc.stderr.decode()}")
+    copy = Path(tempfile.mkdtemp(prefix=f"{side}-", dir=root.parent))
+    for name in filter(None, map(os.fsdecode, proc.stdout.split(b"\0"))):
+        source = root / name
+        if source.is_file():  # a tracked file deleted from the working tree is left out
+            (copy / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, copy / name)
+    return copy
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -144,7 +168,7 @@ def summarize(runs, end_to_end) -> dict:
             pq, cq = quartiles(parent), quartiles(change)
             wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
             every_run_better = min(change) > max(parent) if higher else max(change) < min(parent)
-            worse_by = (pq[1] - cq[1]) / pq[1] if higher else (cq[1] - pq[1]) / pq[1]
+            gain = cq[1] - pq[1] if higher else pq[1] - cq[1]
             summary[workload][name] = {
                 "better": metric["better"],
                 "bound": metric["bound"],
@@ -154,8 +178,9 @@ def summarize(runs, end_to_end) -> dict:
                 "median_ratio_change_over_parent": cq[1] / pq[1],
                 "parent_iqr": pq[2] - pq[0],
                 "change_wins_pairs": f"{wins}/{len(seeds)}",
-                "within_bound": worse_by <= metric["bound"],
+                "within_bound": -gain / pq[1] <= metric["bound"],
                 "unresolved": pq[2] - pq[0] > metric["bound"] * pq[1] and not every_run_better,
+                "claim_met": 10 * wins >= 9 * len(seeds) and gain > pq[2] - pq[0],
             }
     return summary
 
@@ -174,30 +199,38 @@ def main(argv=None) -> int:
                     help="add the record to the JSON list in --out instead of replacing the file")
     args = ap.parse_args(argv)
 
-    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    end_to_end = json.loads((roots["change"] / "BENCHMARK.json").read_text())["end_to_end"]
-    runs = []
-    pair = 0
-    for workload in args.workloads.split(","):
-        for seed in (int(s) for s in args.seeds.split(",")):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                probe_s = probe()
-                run = run_once(roots[side], workload, seed, args.seconds)
-                runs.append({"workload": workload, "seed": seed, "side": side,
-                             "first": order[0], "probe_s": probe_s, **run})
-                print(f"{workload} seed {seed} {side}: {run['metrics']}", flush=True)
-            pair += 1
+    given = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    roots = {}
+    try:
+        for side, root in given.items():
+            roots[side] = fresh_copy(root, side)
+        end_to_end = json.loads((roots["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+        runs = []
+        pair = 0
+        for workload in args.workloads.split(","):
+            for seed in (int(s) for s in args.seeds.split(",")):
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                for side in order:
+                    probe_s = probe()
+                    run = run_once(roots[side], workload, seed, args.seconds)
+                    runs.append({"workload": workload, "seed": seed, "side": side,
+                                 "first": order[0], "probe_s": probe_s, **run})
+                    print(f"{workload} seed {seed} {side}: {run['metrics']}", flush=True)
+                pair += 1
+        src_sha256 = {side: src_digest(root) for side, root in roots.items()}
+    finally:
+        for root in roots.values():
+            shutil.rmtree(root, ignore_errors=True)
 
     record = {
         "what": args.what,
         "machine": f"{platform.machine()}, {platform.system()}, Python {platform.python_version()}",
         "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> "
-                   f"--seconds {args.seconds:g} --trace 0, from the root of each side, "
-                   "one run at a time",
+                   f"--seconds {args.seconds:g} --trace 0, from the root of a fresh copy of "
+                   "each side's tracked files, one run at a time",
         "seconds": args.seconds,
         "order": "pairs alternate which side runs first (field 'first')",
-        "src_sha256": {side: src_digest(root) for side, root in roots.items()},
+        "src_sha256": src_sha256,
         "openblas_core": openblas_core(),
         "summary": summarize(runs, end_to_end),
         "runs": runs,

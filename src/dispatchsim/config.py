@@ -105,6 +105,7 @@ _RANGES = {
     "buffer_capacity": lambda v: v >= 1,
     "synthetic_base_rate": lambda v: v >= 0.0,
     "max_events_per_day": lambda v: v >= 1,
+    "event_trace": lambda v: v in (0, 1),
 }
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -207,16 +208,16 @@ def _strictly_increasing(times: Sequence[float]) -> np.ndarray:
 
 def _synthetic_arrivals(
     rates: np.ndarray, day_of_week: int, rng: np.random.Generator
-) -> List[float]:
-    """Nonhomogeneous Poisson arrivals over one day, by thinning."""
+) -> array:
+    """Nonhomogeneous Poisson arrivals over one day, by thinning, as C doubles."""
     day_rates = rates[day_of_week * 24 : (day_of_week + 1) * 24].tolist()
     lam_max = max(day_rates)
+    times = array("d")
     if lam_max <= 0.0:
-        return []
+        return times
     per_min = lam_max / 60.0
     scale = 1.0 / per_min
     exponential, uniform = rng.exponential, rng.random
-    times: List[float] = []
     t = 0.0
     while True:
         t += exponential(scale)

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import heapq
+from array import array
 from typing import List, Optional, Tuple
+
+import numpy as np
 
 NEW_CALL = 0
 FREE_VEHICLE = 1
@@ -24,6 +27,10 @@ KIND_NAMES = {
 # (time, seq, kind, id_a, id_b); seq breaks same-time ties in insertion order
 Event = Tuple[float, int, int, int, int]
 
+# Run events turned into `Event` tuples at a time: a pop stays a list pop,
+# while the tuples alive at once stay a few hundred kB.
+BLOCK = 1024
+
 
 class CausalityError(Exception):
     """An event was scheduled in the past."""
@@ -32,22 +39,36 @@ class CausalityError(Exception):
 class EventQueue:
     """Events ordered by (time, insertion sequence).
 
-    Events pushed before the first `pop` (a day's new calls) are kept in a
-    run that is sorted once, in descending order, at that pop and consumed
-    from its end; later pushes (cancellation deadlines, which each new-call
-    epoch arms, and the events of vehicles) go to a min-heap.  `pop` takes
-    the smaller head of the two.  A push at a time that is not at or after
-    `clock`, nan included, raises `CausalityError`.
+    Events pushed before the first `pop` (a day's new calls) form the run.
+    It is kept as columns, a C double for the time, a signed byte for the
+    kind and a C long long for each id, and an event's seq is its push
+    index + 1, so 100,000 armed events take about 2.5 MB, not the 15 MB of
+    one tuple each.  The first pop orders the run by one stable
+    argsort of its times (none when they are already in order); pops then
+    take its events as `Event` tuples, `BLOCK` at a time, and the columns
+    are dropped once the run is drained.  Later pushes (cancellation
+    deadlines, which each new-call epoch arms, and the events of vehicles)
+    go to a min-heap, and `pop` takes the smaller head of the two.  A popped
+    time is a float equal to the pushed one and a popped id an int.  `len`
+    counts the unpopped run plus the heap.  A push at a time that is not at
+    or after `clock`, nan included, raises `CausalityError`.
     """
 
     def __init__(self):
-        self._run: List[Event] = []
+        self._times = array("d")
+        self._kinds = array("b")
+        self._id_a = array("q")
+        self._id_b = array("q")
+        self._order: Optional[np.ndarray] = None  # run indices in pop order; None: push order
+        self._taken = 0  # run events already made into tuples
+        self._run: List[Event] = []  # the current block, in descending order
         self._heap: List[Event] = []
         self._sorted = False
-        self._seq = 0
+        self._seq = 0  # the last push's, brought up to date at the first pop
 
     def __len__(self) -> int:
-        return len(self._run) + len(self._heap)
+        rest = 0 if self._times is None else len(self._times) - self._taken
+        return rest + len(self._run) + len(self._heap)
 
     def push(self, time: float, kind: int, id_a: int = -1, id_b: int = -1,
              clock: float = 0.0) -> None:
@@ -55,18 +76,19 @@ class EventQueue:
             raise CausalityError(
                 f"event {KIND_NAMES[kind]} at t={time} scheduled before clock={clock}"
             )
-        self._seq += 1
-        event = (time, self._seq, kind, id_a, id_b)
         if self._sorted:
-            heapq.heappush(self._heap, event)
-        else:
-            self._run.append(event)
+            self._seq += 1
+            heapq.heappush(self._heap, (time, self._seq, kind, id_a, id_b))
+        else:  # the run's seqs are push index + 1
+            self._times.append(time)
+            self._kinds.append(kind)
+            self._id_a.append(id_a)
+            self._id_b.append(id_b)
 
     def pop(self) -> Optional[Event]:
         run, heap = self._run, self._heap
-        if not self._sorted:
-            run.sort(reverse=True)
-            self._sorted = True
+        if not run and self._times is not None:
+            run = self._next_block()
         if run:
             if heap and heap[0] < run[-1]:
                 return heapq.heappop(heap)
@@ -74,3 +96,26 @@ class EventQueue:
         if heap:
             return heapq.heappop(heap)
         return None
+
+    def _next_block(self) -> List[Event]:
+        """The run's next `BLOCK` events as `self._run`; at the end, drop the columns."""
+        columns = [np.frombuffer(col, dtype) for col, dtype in (
+            (self._times, np.float64), (self._kinds, np.int8),
+            (self._id_a, np.int64), (self._id_b, np.int64))]
+        times = columns[0]
+        if not self._sorted:
+            self._sorted = True
+            self._seq = len(times)
+            if not (times[1:] >= times[:-1]).all():
+                self._order = np.argsort(times, kind="stable")
+        lo = self._taken
+        hi = self._taken = min(lo + BLOCK, len(times))
+        if lo == hi:
+            self._times = self._kinds = self._id_a = self._id_b = self._order = None
+            return self._run
+        idx = np.arange(lo, hi) if self._order is None else self._order[lo:hi]
+        time, kind, id_a, id_b = (col[idx].tolist() for col in columns)
+        block = list(zip(time, (idx + 1).tolist(), kind, id_a, id_b))
+        block.reverse()
+        self._run = block
+        return block

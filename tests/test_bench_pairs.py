@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -17,8 +18,8 @@ def fake_runs(monkeypatch):
     calls = []
 
     def run_once(root, workload, seed, seconds):
-        calls.append((root.name, workload, seed, seconds))
-        speed = 2.0 if root.name == "change" else 1.0
+        calls.append((root, workload, seed, seconds))
+        speed = 2.0 if (root / "side").read_text() == "change" else 1.0
         return {
             "correct": True, "attempted": 1, "failed": 0,
             "metrics": {"setup_s": 1.0, "work_per_s": speed * seed, "peak_rss_mb": 50.0},
@@ -37,12 +38,24 @@ def fake_runs(monkeypatch):
     return calls
 
 
-def _main(tmp_path, out, *extra):
+def _checkouts(tmp_path):
+    """Two git checkouts whose tracked files name their side."""
     for side in ("parent", "change"):
-        (tmp_path / side).mkdir(exist_ok=True)
-    (tmp_path / "change" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+        root = tmp_path / side
+        if not root.exists():
+            (root / "src").mkdir(parents=True)
+            (root / "side").write_text(side)
+            (root / "src" / "code.py").write_text(f"SIDE = {side!r}\n")
+            (root / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+            subprocess.run(["git", "init", "-q"], cwd=root, check=True)
+            subprocess.run(["git", "add", "."], cwd=root, check=True)
+    return tmp_path / "parent", tmp_path / "change"
+
+
+def _main(tmp_path, out, *extra):
+    parent, change = _checkouts(tmp_path)
     return bench_pairs.main([
-        "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+        "--parent", str(parent), "--change", str(change),
         "--workloads", "w", "--seeds", "1,2", "--what", "test", "--out", str(out), *extra,
     ])
 
@@ -87,6 +100,39 @@ def test_openblas_core_names_the_kernel_of_numpys_bundled_library(tmp_path):
     assert bench_pairs.openblas_core(tmp_path) is None  # no bundled library
 
 
+def test_each_side_runs_from_a_fresh_copy_of_its_tracked_files(tmp_path, fake_runs):
+    parent, change = _checkouts(tmp_path)
+    (change / "src" / "code.py").write_text("SIDE = 'edited'\n")  # tracked, not committed
+    (change / "untracked.txt").write_text("left behind")
+    _main(tmp_path, tmp_path / "copies.json")
+    roots = [c[0] for c in fake_runs if c != "probe"]
+    assert len(set(roots)) == 2 and not {parent, change} & set(roots)
+    assert all(root.parent == tmp_path for root in roots)  # beside the given roots
+    assert [root.name.split("-")[0] for root in roots[:2]] == ["parent", "change"]
+    record = json.loads((tmp_path / "copies.json").read_text())
+    assert record["src_sha256"]["change"].startswith("change-")  # hashed in the copy
+    assert record["summary"]["w"]["work_per_s"]["change_wins_pairs"] == "2/2"
+    assert not any(root.exists() for root in roots)  # deleted at the end
+
+
+def test_a_copy_holds_the_working_tree_contents_of_tracked_files_only(tmp_path):
+    _, change = _checkouts(tmp_path)
+    (change / "src" / "code.py").write_text("SIDE = 'edited'\n")
+    (change / "untracked.txt").write_text("left behind")
+    copy = bench_pairs.fresh_copy(change, "change")
+    assert copy.parent == tmp_path and copy.name.startswith("change-")
+    assert sorted(p.relative_to(copy).as_posix() for p in copy.rglob("*") if p.is_file()) == [
+        "BENCHMARK.json", "side", "src/code.py"]
+    assert (copy / "src" / "code.py").read_text() == "SIDE = 'edited'\n"
+    assert bench_pairs.src_digest(copy) == bench_pairs.src_digest(change)
+
+
+def test_a_side_that_is_not_a_git_checkout_is_refused(tmp_path):
+    with pytest.raises(SystemExit, match="git ls-files"):
+        bench_pairs.fresh_copy(tmp_path, "parent")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_probe_times_the_host():
     seconds = bench_pairs.probe()
     assert 0.0 < seconds < 60.0
@@ -113,3 +159,29 @@ def test_a_metric_is_unresolved_when_the_parent_spreads_wider_than_its_bound():
     narrow = [1.0, 1.05, 1.1, 1.15, 1.2]
     assert not _summary(narrow, [5.0] * 5)["unresolved"]
     assert not _summary(wide, [1.5] * 5, bound=1.0)["unresolved"]
+
+
+# medians 10.0 and 9.0: a gap of 1.0 for a `lower` metric
+TEN = [10.0 + 0.01 * i for i in range(-5, 5)]
+
+
+def test_a_claim_is_met_on_nine_tenths_of_the_pairs_and_a_gap_beyond_the_parents_iqr():
+    summary = _summary(TEN, [t - 1.0 for t in TEN])  # parent IQR about 0.045
+    assert summary["change_wins_pairs"] == "10/10" and summary["claim_met"]
+    assert _summary(TEN, [t + 1.0 for t in TEN], better="higher")["claim_met"]
+    assert not _summary(TEN, [t + 1.0 for t in TEN])["claim_met"]  # worse, not better
+
+
+def test_a_claim_is_not_met_with_a_gap_inside_the_parents_iqr():
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]  # IQR 4.5
+    change = [t - 1.0 for t in parent[:9]] + [parent[9] + 1.0]
+    summary = _summary(parent, change)
+    assert summary["change_wins_pairs"] == "9/10" and not summary["claim_met"]
+    # the same wins with a gap beyond the IQR meet it
+    assert _summary(parent, [t - 5.0 for t in parent[:9]] + [parent[9] + 1.0])["claim_met"]
+
+
+def test_a_claim_is_not_met_on_eight_tenths_of_the_pairs():
+    change = [t - 1.0 for t in TEN[:8]] + TEN[8:]  # two ties, which count for neither side
+    summary = _summary(TEN, change)
+    assert summary["change_wins_pairs"] == "8/10" and not summary["claim_met"]

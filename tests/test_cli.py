@@ -38,6 +38,16 @@ def test_simulate_writes_event_trace(cfg_file, tmp_path, capsys):
     assert all(len(line.split(",")) == 4 for line in trace)
 
 
+@pytest.mark.parametrize("value", ["7", "-1"])
+def test_event_trace_other_than_0_or_1_exits_2(cfg_file, tmp_path, capsys, value):
+    # before, both ran the day, wrote event_trace.log and exited 0
+    cfg_file.write_text(cfg_file.read_text() + f"event_trace={value}\n")
+    out_dir = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg_file), "--out-dir", str(out_dir)]) == 2
+    assert f"error: key 'event_trace': value {value} out of range" in capsys.readouterr().err
+    assert not (out_dir / "event_trace.log").exists()
+
+
 def test_train_then_evaluate_with_checkpoints(cfg_file, tmp_path, capsys):
     out_dir = tmp_path / "run"
     assert main(["train", "--config", str(cfg_file), "--out-dir", str(out_dir)]) == 0

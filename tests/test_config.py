@@ -76,6 +76,13 @@ def test_seed_outside_32_bits_is_rejected(seed):
         parse_lines([f"seed={seed}"])
 
 
+@pytest.mark.parametrize("value", [-1, 2, 7])
+def test_event_trace_other_than_0_or_1_is_rejected(value):
+    with pytest.raises(ConfigError, match=f"key 'event_trace': value {value} out of range"):
+        parse_lines([f"event_trace={value}"])
+    assert [parse_lines([f"event_trace={v}"]).event_trace for v in (0, 1)] == [0, 1]
+
+
 def test_seed_range_ends_are_accepted():
     assert parse_lines(["seed=0"]).seed == 0
     assert parse_lines([f"seed={2**32 - 1}"]).seed == 2**32 - 1

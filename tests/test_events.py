@@ -1,7 +1,9 @@
 import heapq
 import itertools
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -66,26 +68,31 @@ def test_large_random_push_pop_order():
     assert out == sorted(times)
 
 
+@pytest.mark.parametrize("run_length", [0, 37, ev.BLOCK + 1, 2 * ev.BLOCK + 300])
 @pytest.mark.parametrize("seed", range(25))
-def test_random_interleavings_match_a_heap(seed):
+def test_random_interleavings_match_a_heap(seed, run_length):
     # Times lie on a grid of halves, so equal times meet both in the run
-    # sorted at the first pop and in the heap filled after it.
+    # sorted at the first pop and in the heap filled after it.  Runs longer
+    # than `BLOCK` pop through several blocks; odd seeds push the run in
+    # time order, which the first pop does not sort.
     r = random.Random(seed)
     q, ref, seq = EventQueue(), [], itertools.count(1)
     clock = 0.0
 
-    def push():
-        time = clock + 0.5 * r.randrange(12)
+    def push(time):
         kind, id_a, id_b = r.randrange(6), r.randrange(5), r.randrange(-1, 5)
         q.push(time, kind, id_a, id_b, clock)
         heapq.heappush(ref, (time, next(seq), kind, id_a, id_b))
 
-    for _ in range(r.randrange(40)):  # before the first pop
-        push()
+    run = [0.5 * r.randrange(12) for _ in range(run_length)]
+    if seed % 2:
+        run.sort()
+    for time in run:  # before the first pop
+        push(time)
         assert len(q) == len(ref)
     for _ in range(400):
         if r.random() < 0.45:
-            push()
+            push(clock + 0.5 * r.randrange(12))
         else:
             got = q.pop()
             assert got == (heapq.heappop(ref) if ref else None)
@@ -96,3 +103,35 @@ def test_random_interleavings_match_a_heap(seed):
         assert q.pop() == heapq.heappop(ref)
         assert len(q) == len(ref)
     assert q.pop() is None and len(q) == 0
+
+
+def test_arming_100k_events_keeps_them_as_columns():
+    # one (time, seq, kind, id_a, id_b) tuple per armed event took about 15 MB
+    times = [0.0144 * i for i in range(100_000)]
+    tracemalloc.start()
+    try:
+        q = EventQueue()
+        for cid, t in enumerate(times):
+            q.push(t, ev.NEW_CALL, cid)
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traced < 4_000_000
+    assert len(q) == 100_000
+    assert q.pop() == (0.0, 1, ev.NEW_CALL, 0, -1)
+    assert len(q) == 99_999
+
+
+def test_pushed_times_and_ids_pop_back_equal_and_as_python_numbers_from_the_run():
+    pushed = [(5e-324, 1, np.int64(7)), (np.float64(0.1), 2, 3), (2, np.int32(4), 5),
+              (1e300, 6, -1), (float("inf"), 2**40, 2**62)]
+    q = EventQueue()
+    for round_ in ("run", "heap"):  # pushes before the first pop, then after it
+        for time, id_a, id_b in pushed:
+            q.push(time, ev.CANCELLATION, id_a, id_b)
+        popped = [q.pop() for _ in pushed]
+        assert [(p[0], p[3], p[4]) for p in popped] == pushed
+        if round_ == "run":
+            assert all(type(p[0]) is float and type(p[3]) is int and type(p[4]) is int
+                       for p in popped)
+    assert q.pop() is None
