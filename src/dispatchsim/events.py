@@ -28,8 +28,9 @@ KIND_NAMES = {
 Event = Tuple[float, int, int, int, int]
 
 # Run events turned into `Event` tuples at a time: a pop stays a list pop,
-# while the tuples alive at once stay a few hundred kB.
-BLOCK = 1024
+# and few tuples live at once (blocks of 1,024 read a `day_nn_100k` peak
+# RSS about 0.6 MB above blocks of 64, `BENCH_event_columns.json`).
+BLOCK = 64
 
 
 class CausalityError(Exception):
@@ -43,10 +44,11 @@ class EventQueue:
     It is kept as columns, a C double for the time, a signed byte for the
     kind and a C long long for each id, and an event's seq is its push
     index + 1, so 100,000 armed events take about 2.5 MB, not the 15 MB of
-    one tuple each.  The first pop orders the run by one stable
-    argsort of its times (none when they are already in order); pops then
-    take its events as `Event` tuples, `BLOCK` at a time, and the columns
-    are dropped once the run is drained.  Later pushes (cancellation
+    one tuple each.  The first pop puts the columns in order in place by
+    one stable argsort of the times, and then keeps the seqs as one more
+    column; when the times are already in order it sorts nothing.  Pops
+    take the run's events as `Event` tuples, `BLOCK` at a time, and the
+    columns are dropped once the run is drained.  Later pushes (cancellation
     deadlines, which each new-call epoch arms, and the events of vehicles)
     go to a min-heap, and `pop` takes the smaller head of the two.  A popped
     time is a float equal to the pushed one and a popped id an int.  `len`
@@ -59,7 +61,7 @@ class EventQueue:
         self._kinds = array("b")
         self._id_a = array("q")
         self._id_b = array("q")
-        self._order: Optional[np.ndarray] = None  # run indices in pop order; None: push order
+        self._seqs: Optional[array] = None  # the sorted run's seqs; None while they are 1..n
         self._taken = 0  # run events already made into tuples
         self._run: List[Event] = []  # the current block, in descending order
         self._heap: List[Event] = []
@@ -99,23 +101,30 @@ class EventQueue:
 
     def _next_block(self) -> List[Event]:
         """The run's next `BLOCK` events as `self._run`; at the end, drop the columns."""
-        columns = [np.frombuffer(col, dtype) for col, dtype in (
-            (self._times, np.float64), (self._kinds, np.int8),
-            (self._id_a, np.int64), (self._id_b, np.int64))]
-        times = columns[0]
         if not self._sorted:
-            self._sorted = True
-            self._seq = len(times)
-            if not (times[1:] >= times[:-1]).all():
-                self._order = np.argsort(times, kind="stable")
+            self._sort_run()
         lo = self._taken
-        hi = self._taken = min(lo + BLOCK, len(times))
+        hi = self._taken = min(lo + BLOCK, len(self._times))
         if lo == hi:
-            self._times = self._kinds = self._id_a = self._id_b = self._order = None
+            self._times = self._kinds = self._id_a = self._id_b = self._seqs = None
             return self._run
-        idx = np.arange(lo, hi) if self._order is None else self._order[lo:hi]
-        time, kind, id_a, id_b = (col[idx].tolist() for col in columns)
-        block = list(zip(time, (idx + 1).tolist(), kind, id_a, id_b))
+        seqs = range(lo + 1, hi + 1) if self._seqs is None else self._seqs[lo:hi]
+        block = list(zip(self._times[lo:hi], seqs, self._kinds[lo:hi],
+                         self._id_a[lo:hi], self._id_b[lo:hi]))
         block.reverse()
         self._run = block
         return block
+
+    def _sort_run(self) -> None:
+        """Put the run's columns in (time, seq) order, keeping the seqs unless they are 1..n."""
+        self._sorted = True
+        self._seq = len(self._times)
+        times = np.frombuffer(self._times)
+        if (times[1:] >= times[:-1]).all():
+            return
+        order = np.argsort(times, kind="stable")
+        for col, dtype in ((self._times, np.float64), (self._kinds, np.int8),
+                           (self._id_a, np.int64), (self._id_b, np.int64)):
+            view = np.frombuffer(col, dtype)
+            view[:] = view[order]
+        self._seqs = array("q", (order + 1).tobytes())
