@@ -17,20 +17,20 @@ timed: a pure-Python loop plus a numpy L1 argmin, each the median of a few
 repeats; a slower host reads a larger `probe_s`, so records from different
 sittings can be read side by side.  The record keeps T, every run (its
 `probe_s`, metrics, correctness and the events or gradient steps of each
-round), a SHA-256 over the `src/` files of each side's copy, the OpenBLAS kernel numpy
-loads on this host (`openblas_core`), and per workload and end-to-end
-metric: each side's quartiles, the parent's interquartile range, the pairs
-the change won (a tie is no win), whether the change's median stays within
-the bound that `BENCHMARK.json` fixes, and `claim_met`: whether the change
-won at least nine tenths of the pairs and its median beats the parent's by
-more than the parent's interquartile range, the rule a claimed gain must
-meet.  A metric is `unresolved` when the parent's
-interquartile range is wider than the bound times the parent's median, as
-the runs then spread too widely to tell a change within the bound from
-none, unless every change run reads better than every parent run.  With
-`--append`, the new record is added to the records in `--out` (a JSON
-list, or one record), and the file becomes a list, so one file can keep
-several comparisons.
+round), a SHA-256 over the `src/` files of each side's copy, the OpenBLAS
+kernel numpy loads on this host (`openblas_core`), and per workload and
+end-to-end metric: each side's quartiles, the parent's interquartile
+range, the pairs the change won (a tie is no win), whether the change's
+median stays within the bound that `BENCHMARK.json` fixes, and
+`claim_met`: whether the change won at least nine tenths of the pairs and
+its median beats the parent's by more than the parent's interquartile
+range, the rule a claimed gain must meet.  A metric is `unresolved` when
+the parent's interquartile range is wider than the bound times the
+parent's median, as the runs then spread too widely to tell a change
+within the bound from none, unless every change run reads better than
+every parent run.  With `--append`, the new record is added to the
+records in `--out` (a JSON list, or one record), and the file becomes a
+list, so one file can keep several comparisons.
 """
 
 from __future__ import annotations

@@ -28,8 +28,9 @@ KIND_NAMES = {
 Event = Tuple[float, int, int, int, int]
 
 # Run events turned into `Event` tuples at a time: a pop stays a list pop,
-# and few tuples live at once (blocks of 1,024 read a `day_nn_100k` peak
-# RSS about 0.6 MB above blocks of 64, `BENCH_event_columns.json`).
+# and few tuples live at once (blocks of 1,024 read a median `day_nn_100k`
+# peak RSS 0.46 MB above blocks of 64, 8 of 10 pairs, at the same speed;
+# record 5 of `BENCH_event_columns.json`).
 BLOCK = 64
 
 

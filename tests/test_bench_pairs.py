@@ -102,8 +102,6 @@ def test_openblas_core_names_the_kernel_of_numpys_bundled_library(tmp_path):
 
 def test_each_side_runs_from_a_fresh_copy_of_its_tracked_files(tmp_path, fake_runs):
     parent, change = _checkouts(tmp_path)
-    (change / "src" / "code.py").write_text("SIDE = 'edited'\n")  # tracked, not committed
-    (change / "untracked.txt").write_text("left behind")
     _main(tmp_path, tmp_path / "copies.json")
     roots = [c[0] for c in fake_runs if c != "probe"]
     assert len(set(roots)) == 2 and not {parent, change} & set(roots)
@@ -117,7 +115,7 @@ def test_each_side_runs_from_a_fresh_copy_of_its_tracked_files(tmp_path, fake_ru
 
 def test_a_copy_holds_the_working_tree_contents_of_tracked_files_only(tmp_path):
     _, change = _checkouts(tmp_path)
-    (change / "src" / "code.py").write_text("SIDE = 'edited'\n")
+    (change / "src" / "code.py").write_text("SIDE = 'edited'\n")  # tracked, not committed
     (change / "untracked.txt").write_text("left behind")
     copy = bench_pairs.fresh_copy(change, "change")
     assert copy.parent == tmp_path and copy.name.startswith("change-")
@@ -161,12 +159,12 @@ def test_a_metric_is_unresolved_when_the_parent_spreads_wider_than_its_bound():
     assert not _summary(wide, [1.5] * 5, bound=1.0)["unresolved"]
 
 
-# medians 10.0 and 9.0: a gap of 1.0 for a `lower` metric
+# ten parent runs about 10.0 whose IQR (0.045) is far below a gap of 1.0
 TEN = [10.0 + 0.01 * i for i in range(-5, 5)]
 
 
 def test_a_claim_is_met_on_nine_tenths_of_the_pairs_and_a_gap_beyond_the_parents_iqr():
-    summary = _summary(TEN, [t - 1.0 for t in TEN])  # parent IQR about 0.045
+    summary = _summary(TEN, [t - 1.0 for t in TEN])
     assert summary["change_wins_pairs"] == "10/10" and summary["claim_met"]
     assert _summary(TEN, [t + 1.0 for t in TEN], better="higher")["claim_met"]
     assert not _summary(TEN, [t + 1.0 for t in TEN])["claim_met"]  # worse, not better
