@@ -45,6 +45,28 @@ RECORDS_CSV = "\n".join(
     ]
 ) + "\n"
 
+# Wednesday rows out of time order among rows of other days (4320.0 is
+# Thursday's first minute), and one Wednesday row outside the box: the
+# drawn indices address the day's kept rows in file order, so sorting them
+# would redraw the day.
+RECORDS_SHUFFLED_CSV = "\n".join(
+    [
+        CSV_HEADER,
+        "4317.0,0.05,0.95,0.95,0.05",
+        "1500.0,0.40,0.40,0.60,0.60",
+        "3300.5,0.55,0.65,0.75,0.85",
+        "9000.0,0.10,0.10,0.90,0.90",
+        "2885.0,0.10,0.20,0.30,0.40",
+        "3100.0,1.50,0.50,0.50,0.50",
+        "4000.25,0.33,0.33,0.66,0.66",
+        "100.0,0.70,0.20,0.20,0.70",
+        "3600.0,0.90,0.10,0.20,0.80",
+        "4320.0,0.25,0.25,0.75,0.75",
+        "2890.75,0.60,0.30,0.10,0.95",
+        "3600.0,0.15,0.85,0.45,0.35",
+    ]
+) + "\n"
+
 
 def _h(x: float) -> str:
     return float(x).hex()
@@ -116,6 +138,17 @@ def records_jittered():
     return calls
 
 
+def records_shuffled():
+    records, dropped = load_trip_records(RECORDS_SHUFFLED_CSV)
+    assert dropped == 1
+    source = DemandSource(mode="records", records=records)
+    calls = build_calls(
+        source, CFG, 2, 400, np.random.default_rng(311), np.random.default_rng(312)
+    )
+    assert 300 < len(calls) < 400
+    return calls
+
+
 def one_generator_for_both_streams():
     rng = np.random.default_rng(401)
     source = DemandSource(mode="synthetic", hourly_rates=flat_hourly_rates(8.0))
@@ -131,6 +164,9 @@ CALL_DIGESTS = {
     ),
     records_jittered: (
         "34aa2052f48c5d2f07424c2a0b492fdaeaadcc4b419d18dace0e4835f7d238be"
+    ),
+    records_shuffled: (
+        "6cdf5da7d34ca0ebed064bde709fed61f8142a57d3f3b1cb0439024e2146cb49"
     ),
     one_generator_for_both_streams: (
         "31f3a4d24b96124ad00db7a9d3f2280453f520c0980dbc19d49589046e7acce6"
