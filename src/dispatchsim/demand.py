@@ -16,7 +16,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .entities import TripRecord
 from .geometry import BoundingBox, Coordinate, MINUTES_PER_DAY, MINUTES_PER_WEEK
 
 CSV_HEADER = "minute_of_week,origin_x,origin_y,dest_x,dest_y"
@@ -42,15 +41,17 @@ class DemandSource:
     """Where calls come from: replayed records or a synthetic process."""
 
     mode: str  # "records" | "synthetic"
-    records: List[TripRecord] = field(default_factory=list)
+    records: Optional[np.ndarray] = None  # (n, 5), as `load_trip_records` returns it
     hourly_rates: Optional[np.ndarray] = None  # 168 calls/hour values
     clusters: List[GaussianCluster] = field(default_factory=list)
     box: BoundingBox = BoundingBox()
 
     def __post_init__(self):
         if self.mode == "records":
-            if not self.records:
-                raise DemandError("records mode requires a nonempty record list")
+            records = self.records
+            if not (isinstance(records, np.ndarray) and records.dtype == np.float64
+                    and records.ndim == 2 and records.shape[1] == 5 and len(records)):
+                raise DemandError("records mode requires a nonempty (n, 5) float64 record array")
         elif self.mode == "synthetic":
             rates = np.asarray(
                 self.hourly_rates if self.hourly_rates is not None else [],
@@ -103,11 +104,14 @@ class StochasticConfig:
 
 def load_trip_records(
     stream, box: BoundingBox = BoundingBox()
-) -> Tuple[List[TripRecord], int]:
+) -> Tuple[np.ndarray, int]:
     """Parse the trip CSV; returns (records, dropped_out_of_box_count).
 
-    Rows with any endpoint outside the bounding box are dropped and counted.
-    Malformed rows raise DemandError with the 1-based line number.
+    `records` is an (n, 5) float64 array in file order whose row i holds
+    the minute of week, origin x, origin y, destination x and destination
+    y of the i-th kept row.  Rows with any endpoint outside the bounding
+    box are dropped and counted.  Malformed rows raise DemandError with the
+    1-based line number.
     """
     if isinstance(stream, (bytes, bytearray)):
         stream = io.StringIO(stream.decode("utf-8"))
@@ -118,7 +122,7 @@ def load_trip_records(
     if header != CSV_HEADER:
         raise DemandError(f"line 1: expected header {CSV_HEADER!r}, got {header!r}")
 
-    records: List[TripRecord] = []
+    values = array("d")
     dropped = 0
     for lineno, raw in enumerate(stream, start=2):
         line = raw.strip()
@@ -128,23 +132,21 @@ def load_trip_records(
         if len(parts) != 5:
             raise DemandError(f"line {lineno}: expected 5 fields, got {len(parts)}")
         try:
-            minute = float(parts[0])
-            ox, oy, dx, dy = (float(p) for p in parts[1:])
+            row = list(map(float, parts))
         except ValueError as exc:
             raise DemandError(f"line {lineno}: {exc}") from None
+        minute, ox, oy, dx, dy = row
         if not 0.0 <= minute < MINUTES_PER_WEEK:
             raise DemandError(
                 f"line {lineno}: minute_of_week {minute} outside [0, {MINUTES_PER_WEEK})"
             )
-        origin = Coordinate(ox, oy)
-        dest = Coordinate(dx, dy)
-        if not (box.contains(origin) and box.contains(dest)):
+        if not (box.contains(Coordinate(ox, oy)) and box.contains(Coordinate(dx, dy))):
             dropped += 1
             continue
-        records.append(TripRecord(minute, origin, dest))
-    if not records:
+        values.extend(row)
+    if not values:
         raise DemandError("no usable trip records after filtering")
-    return records, dropped
+    return np.frombuffer(values).reshape(-1, 5), dropped
 
 
 # gamma support is (0, inf); tolerances are floored here to guard the
@@ -267,7 +269,8 @@ def generate_daily_calls(
     the hour-of-week rate profile.  At most `daily_cap` calls are returned.
 
     Draw order on `rng`, a contract that the pinned digests hold:
-    - records: `daily_cap` row indices, then `daily_cap` jitters;
+    - records: `daily_cap` indices into the day's rows in file order, then
+      `daily_cap` jitters; calls with equal jittered times keep draw order;
     - synthetic: the thinning loop (an exponential gap, then a uniform
       accept test, per candidate arrival), then for each of the m kept
       calls in time order its origin and then its destination.  Uniform
@@ -281,21 +284,16 @@ def generate_daily_calls(
         raise ValueError("day_of_week must be in 0..6")
 
     if source.mode == "records":
-        rows = [r for r in source.records if r.day_of_week == day_of_week]
-        if not rows:
+        rows = source.records[source.records[:, 0] // MINUTES_PER_DAY == day_of_week]
+        if not len(rows):
             raise DemandError(f"no trip records for day_of_week={day_of_week}")
-        picked = rng.integers(0, len(rows), size=daily_cap).tolist()
-        jitter = rng.uniform(-ARRIVAL_JITTER_MIN, ARRIVAL_JITTER_MIN, size=daily_cap).tolist()
-        entries = []
-        for i, dt in zip(picked, jitter):
-            r = rows[i]
-            t = (r.request_minute_of_week - day_of_week * 1440.0) + dt
-            if 0.0 <= t < MINUTES_PER_DAY:
-                entries.append((t, r.origin, r.destination))
-        entries.sort(key=lambda e: e[0])
-        times = _strictly_increasing([e[0] for e in entries])
-        rows = [(*e[1], *e[2]) for e in entries[: len(times)]]
-        return DayDemand(times, np.array(rows, dtype=float).reshape(-1, 4))
+        picked = rows[rng.integers(0, len(rows), size=daily_cap)]
+        jitter = rng.uniform(-ARRIVAL_JITTER_MIN, ARRIVAL_JITTER_MIN, size=daily_cap)
+        times = (picked[:, 0] - day_of_week * MINUTES_PER_DAY) + jitter
+        in_day = np.flatnonzero((0.0 <= times) & (times < MINUTES_PER_DAY))
+        kept = in_day[np.argsort(times[in_day], kind="stable")]
+        times = _strictly_increasing(times[kept])
+        return DayDemand(times, picked[kept[: len(times)], 1:])
 
     times = _strictly_increasing(_synthetic_arrivals(source.hourly_rates, day_of_week, rng))
     times = times[:daily_cap]

@@ -1,4 +1,4 @@
-"""Domain entities: call state and calls, the waiting pool, fleet state and vehicles, trip records."""
+"""Domain entities: call state and calls, the waiting pool, fleet state and vehicles."""
 
 from __future__ import annotations
 
@@ -6,12 +6,11 @@ import enum
 import math
 from array import array
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Coordinate, MINUTES_PER_WEEK
+from .geometry import Coordinate
 
 
 class CallStatus(enum.Enum):
@@ -429,22 +428,3 @@ class Vehicle:
     def set_idle(self, at: Coordinate) -> None:
         self.store.set_idle(self.row, *at)
 
-
-@dataclass(frozen=True)
-class TripRecord:
-    """One historical trip: when in the week it was requested, and where."""
-
-    request_minute_of_week: float
-    origin: Coordinate
-    destination: Coordinate
-
-    def __post_init__(self):
-        if not 0.0 <= self.request_minute_of_week < MINUTES_PER_WEEK:
-            raise ValueError(
-                f"request_minute_of_week {self.request_minute_of_week} "
-                f"outside [0, {MINUTES_PER_WEEK})"
-            )
-
-    @property
-    def day_of_week(self) -> int:
-        return int(self.request_minute_of_week // 1440.0)

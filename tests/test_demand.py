@@ -30,9 +30,8 @@ def test_load_single_row():
     text = CSV_HEADER + "\n4230,0.25,0.50,0.75,0.10\n"
     records, dropped = load_trip_records(text)
     assert dropped == 0
-    assert len(records) == 1
-    assert records[0].request_minute_of_week == 4230
-    assert records[0].origin == Coordinate(0.25, 0.50)
+    assert records.dtype == np.float64
+    assert records.tolist() == [[4230.0, 0.25, 0.50, 0.75, 0.10]]
 
 
 def test_load_rejects_out_of_range_minute():
@@ -97,24 +96,23 @@ def test_daily_cap_and_ordering():
     assert all(t1 < t2 for t1, t2 in zip(times, times[1:]))
 
 
-def test_records_mode_jitter_window():
-    from dispatchsim.entities import TripRecord
+WEDNESDAY_CSV = CSV_HEADER + "\n4230,0.2,0.2,0.8,0.8\n"  # minute of day 1350
 
-    rec = TripRecord(4230.0, Coordinate(0.2, 0.2), Coordinate(0.8, 0.8))  # Wednesday
-    source = DemandSource(mode="records", records=[rec])
+
+def test_records_mode_jitter_window():
+    records, _ = load_trip_records(WEDNESDAY_CSV)
+    source = DemandSource(mode="records", records=records)
     calls = generate_daily_calls(source, 2, 50, rng(7))
-    base = 4230.0 - 2 * 1440.0  # minute-of-day 1350
+    base = 4230.0 - 2 * 1440.0
     assert calls
     for t, origin, dest in calls:
         assert abs(t - base) <= ARRIVAL_JITTER_MIN + 1e-6
-        assert origin == rec.origin and dest == rec.destination
+        assert origin == Coordinate(0.2, 0.2) and dest == Coordinate(0.8, 0.8)
 
 
 def test_records_mode_missing_day_errors():
-    from dispatchsim.entities import TripRecord
-
-    rec = TripRecord(4230.0, Coordinate(0.2, 0.2), Coordinate(0.8, 0.8))
-    source = DemandSource(mode="records", records=[rec])
+    records, _ = load_trip_records(WEDNESDAY_CSV)
+    source = DemandSource(mode="records", records=records)
     with pytest.raises(DemandError):
         generate_daily_calls(source, 5, 10, rng(0))
 
@@ -149,6 +147,17 @@ def test_source_validation():
         DemandSource(mode="synthetic", hourly_rates=np.zeros(168))
     with pytest.raises(DemandError):
         DemandSource(mode="synthetic", hourly_rates=np.ones(24))
+
+
+@pytest.mark.parametrize(
+    "records",
+    [None, [[4230.0, 0.2, 0.2, 0.8, 0.8]], np.zeros((0, 5)), np.zeros(5), np.zeros((3, 4)),
+     np.zeros((3, 5), dtype=np.float32)],
+    ids=["none", "list", "empty", "1d", "four_columns", "float32"],
+)
+def test_records_must_be_a_nonempty_n_by_5_float64_array(records):
+    with pytest.raises(DemandError, match=r"nonempty \(n, 5\) float64"):
+        DemandSource(mode="records", records=records)
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan")])

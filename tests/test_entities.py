@@ -15,7 +15,6 @@ from dispatchsim.entities import (
     CallStatus,
     CallTable,
     FleetState,
-    TripRecord,
     Vehicle,
 )
 from dispatchsim.geometry import Coordinate
@@ -221,10 +220,3 @@ def test_vehicle_idle_invariant():
 def test_vehicle_rejects_bad_probability():
     with pytest.raises(ValueError):
         Vehicle(id=0, location=Coordinate(0, 0), move_destination=Coordinate(0, 0), reject_prob=1.5)
-
-
-def test_trip_record_bounds():
-    TripRecord(0.0, Coordinate(0, 0), Coordinate(1, 1))
-    with pytest.raises(ValueError):
-        TripRecord(10080.0, Coordinate(0, 0), Coordinate(1, 1))
-    assert TripRecord(4230.0, Coordinate(0, 0), Coordinate(1, 1)).day_of_week == 2
