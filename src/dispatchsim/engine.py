@@ -338,14 +338,14 @@ def run_day(
     `calls` is a `CallTable` whose rows are in arrival order, or calls with
     ids 0..n-1 in arrival order, which the day adopts into one table.  Only
     the new-call events are armed up-front, one push per call in id order,
-    straight from the table's `created_at` column; the queue keeps them as
-    columns until the first pop (see `EventQueue`).  Each new-call epoch
-    arms its call's cancellation at `created_at + max_wait`.  Events due at
-    the same time pop in push order, so a cancellation pops after the new
-    calls of its time and after the vehicle events of its time that were
-    pushed before its call arrived.  Under the package's policies none of
-    those reads the pool or the canceled call, so the day's outcome does
-    not depend on that order.
+    straight from the table's `created_at` column; since their times never
+    decrease, the queue keeps them all as columns (see `EventQueue`).  Each
+    new-call epoch arms its call's cancellation at `created_at + max_wait`.
+    Events due at the same time pop in push order, so a cancellation pops
+    after the new calls of its time and after the vehicle events of its
+    time that were pushed before its call arrived.  Under the package's
+    policies none of those reads the pool or the canceled call, so the
+    day's outcome does not depend on that order.
     """
     env = Environment(
         fleet,

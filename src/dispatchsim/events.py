@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import heapq
+import math
 from array import array
 from typing import List, Optional, Tuple
-
-import numpy as np
 
 NEW_CALL = 0
 FREE_VEHICLE = 1
@@ -41,20 +40,19 @@ class CausalityError(Exception):
 class EventQueue:
     """Events ordered by (time, insertion sequence).
 
-    Events pushed before the first `pop` (a day's new calls) form the run.
-    It is kept as columns, a C double for the time, a signed byte for the
-    kind and a C long long for each id, and an event's seq is its push
-    index + 1, so 100,000 armed events take about 2.5 MB, not the 15 MB of
-    one tuple each.  The first pop puts the columns in order in place by
-    one stable argsort of the times, and then keeps the seqs as one more
-    column; when the times are already in order it sorts nothing.  Pops
-    take the run's events as `Event` tuples, `BLOCK` at a time, and the
-    columns are dropped once the run is drained.  Later pushes (cancellation
-    deadlines, which each new-call epoch arms, and the events of vehicles)
-    go to a min-heap, and `pop` takes the smaller head of the two.  A popped
-    time is a float equal to the pushed one and a popped id an int.  `len`
-    counts the unpopped run plus the heap.  A push at a time that is not at
-    or after `clock`, nan included, raises `CausalityError`.
+    An event's seq is its push index + 1.  The run is the longest prefix of
+    the pushes whose times never decrease (a day's new calls, which
+    `run_day` pushes in arrival order).  It is kept as columns, a C double
+    for the time, a signed byte for the kind and a C long long for each id,
+    so 100,000 armed events take about 2.5 MB, not the 15 MB of one tuple
+    each.  A push joins the run while its time is at or after the run's last
+    time; the first push that is not, and every push after it, goes to a
+    min-heap.  Pops take the run's events as `Event` tuples, `BLOCK` at a
+    time, and the columns are dropped once the run is drained; `pop` takes
+    the smaller head of the run and the heap.  A popped time is a float
+    equal to the pushed one and a popped id an int.  `len` counts the
+    unpopped run plus the heap.  A push at a time that is not at or after
+    `clock`, nan included, raises `CausalityError`.
     """
 
     def __init__(self):
@@ -62,12 +60,13 @@ class EventQueue:
         self._kinds = array("b")
         self._id_a = array("q")
         self._id_b = array("q")
-        self._seqs: Optional[array] = None  # the sorted run's seqs; None while they are 1..n
+        # nan once the run is closed, so that no later time compares at or
+        # after it (+inf would let a push at inf rejoin with a wrong seq)
+        self._last = -math.inf
         self._taken = 0  # run events already made into tuples
         self._run: List[Event] = []  # the current block, in descending order
         self._heap: List[Event] = []
-        self._sorted = False
-        self._seq = 0  # the last push's, brought up to date at the first pop
+        self._seq = 0  # the last push's
 
     def __len__(self) -> int:
         rest = 0 if self._times is None else len(self._times) - self._taken
@@ -79,14 +78,16 @@ class EventQueue:
             raise CausalityError(
                 f"event {KIND_NAMES[kind]} at t={time} scheduled before clock={clock}"
             )
-        if self._sorted:
-            self._seq += 1
-            heapq.heappush(self._heap, (time, self._seq, kind, id_a, id_b))
-        else:  # the run's seqs are push index + 1
+        self._seq += 1
+        if time >= self._last:  # the run's seqs are its column index + 1
+            self._last = time
             self._times.append(time)
             self._kinds.append(kind)
             self._id_a.append(id_a)
             self._id_b.append(id_b)
+        else:
+            self._last = math.nan
+            heapq.heappush(self._heap, (time, self._seq, kind, id_a, id_b))
 
     def pop(self) -> Optional[Event]:
         run, heap = self._run, self._heap
@@ -101,31 +102,15 @@ class EventQueue:
         return None
 
     def _next_block(self) -> List[Event]:
-        """The run's next `BLOCK` events as `self._run`; at the end, drop the columns."""
-        if not self._sorted:
-            self._sort_run()
+        """The run's next `BLOCK` events as `self._run`; at the end, close the run."""
         lo = self._taken
         hi = self._taken = min(lo + BLOCK, len(self._times))
         if lo == hi:
-            self._times = self._kinds = self._id_a = self._id_b = self._seqs = None
+            self._times = self._kinds = self._id_a = self._id_b = None
+            self._last = math.nan
             return self._run
-        seqs = range(lo + 1, hi + 1) if self._seqs is None else self._seqs[lo:hi]
-        block = list(zip(self._times[lo:hi], seqs, self._kinds[lo:hi],
+        block = list(zip(self._times[lo:hi], range(lo + 1, hi + 1), self._kinds[lo:hi],
                          self._id_a[lo:hi], self._id_b[lo:hi]))
         block.reverse()
         self._run = block
         return block
-
-    def _sort_run(self) -> None:
-        """Put the run's columns in (time, seq) order, keeping the seqs unless they are 1..n."""
-        self._sorted = True
-        self._seq = len(self._times)
-        times = np.frombuffer(self._times)
-        if (times[1:] >= times[:-1]).all():
-            return
-        order = np.argsort(times, kind="stable")
-        for col, dtype in ((self._times, np.float64), (self._kinds, np.int8),
-                           (self._id_a, np.int64), (self._id_b, np.int64)):
-            view = np.frombuffer(col, dtype)
-            view[:] = view[order]
-        self._seqs = array("q", (order + 1).tobytes())

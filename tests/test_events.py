@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -68,13 +69,18 @@ def test_large_random_push_pop_order():
     assert out == sorted(times)
 
 
+# Times lie on a grid of halves and inf, so equal times meet both in the run
+# and in the heap, and pushes at inf meet a run that ends at inf.
+GRID = [0.5 * i for i in range(12)] + [math.inf]
+
+
 @pytest.mark.parametrize("run_length", [0, 37, ev.BLOCK + 1, 2 * ev.BLOCK + 300])
 @pytest.mark.parametrize("seed", range(25))
 def test_random_interleavings_match_a_heap(seed, run_length):
-    # Times lie on a grid of halves, so equal times meet both in the run
-    # sorted at the first pop and in the heap filled after it.  Runs longer
-    # than `BLOCK` pop through several blocks; odd seeds push the run in
-    # time order, which the first pop does not sort.
+    # The run is the time-ordered prefix of the pushes.  Runs longer than
+    # `BLOCK` pop through several blocks; odd seeds push the events before
+    # the first pop in time order, so all of them join the run, and even
+    # seeds in random order, so the heap takes them from the first decrease.
     r = random.Random(seed)
     q, ref, seq = EventQueue(), [], itertools.count(1)
     clock = 0.0
@@ -84,7 +90,7 @@ def test_random_interleavings_match_a_heap(seed, run_length):
         q.push(time, kind, id_a, id_b, clock)
         heapq.heappush(ref, (time, next(seq), kind, id_a, id_b))
 
-    run = [0.5 * r.randrange(12) for _ in range(run_length)]
+    run = [r.choice(GRID) for _ in range(run_length)]
     if seed % 2:
         run.sort()
     for time in run:  # before the first pop
@@ -92,7 +98,7 @@ def test_random_interleavings_match_a_heap(seed, run_length):
         assert len(q) == len(ref)
     for _ in range(400):
         if r.random() < 0.45:
-            push(clock + 0.5 * r.randrange(12))
+            push(clock + r.choice(GRID))
         else:
             got = q.pop()
             assert got == (heapq.heappop(ref) if ref else None)
