@@ -140,7 +140,7 @@ def load_trip_records(
             raise DemandError(
                 f"line {lineno}: minute_of_week {minute} outside [0, {MINUTES_PER_WEEK})"
             )
-        if not (box.contains(Coordinate(ox, oy)) and box.contains(Coordinate(dx, dy))):
+        if not (box.contains((ox, oy)) and box.contains((dx, dy))):
             dropped += 1
             continue
         values.extend(row)

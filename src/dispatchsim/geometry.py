@@ -8,7 +8,7 @@ expressed in box units per minute.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 MINUTES_PER_DAY = 1440.0
 MINUTES_PER_WEEK = 10080.0
@@ -25,12 +25,14 @@ class BoundingBox(NamedTuple):
     y_min: float = 0.0
     y_max: float = 1.0
 
-    def contains(self, c: Coordinate) -> bool:
+    def contains(self, c: Tuple[float, float]) -> bool:
+        """Whether the point `c`, a `Coordinate` or any (x, y) pair, is finite and in the box."""
+        x, y = c
         return (
-            math.isfinite(c.x)
-            and math.isfinite(c.y)
-            and self.x_min <= c.x <= self.x_max
-            and self.y_min <= c.y <= self.y_max
+            math.isfinite(x)
+            and math.isfinite(y)
+            and self.x_min <= x <= self.x_max
+            and self.y_min <= y <= self.y_max
         )
 
 
