@@ -7,6 +7,7 @@ import math
 from array import array
 from bisect import bisect_left, insort
 from typing import List, Optional, Sequence
+from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -66,6 +67,17 @@ class CallTable:
     is call `first_id + r`.  Every status a row takes is appended to one log,
     the `log_rows` (C int) and `log_codes` arrays; a row's history is its log
     entries.
+
+    `history(row)` builds a row's statuses from the log when it is read.  The
+    list is kept only while a caller holds it: until then every read of the
+    row returns that one list, edits included, with the statuses logged
+    since its last read appended; once no one holds it, the next read builds
+    it from the log again.  Reads go through an index of the log, made at
+    the first read and again whenever the entries logged since outnumber
+    those it covers: the codes in row order (one int8 a log entry, a stable
+    sort by row) and each row's first place in them (one int32 a row, a
+    cumulative `bincount`).  The entries logged after the index are scanned
+    for the row.
     """
 
     def __init__(self, n: int, first_id: int = 0):
@@ -78,8 +90,10 @@ class CallTable:
         self.assigned_vehicle = memoryview(np.full(n, -1, dtype=np.intc))
         self.log_rows = array("i", np.arange(n, dtype=np.intc).tobytes())
         self.log_codes = array("b", bytes(n))
-        self._histories: Optional[List[list]] = None  # made by the first `history`
-        self._read = 0  # log entries already in `_histories`
+        self._kept: Optional[WeakValueDictionary] = None  # row -> held history; made by `history`
+        self._starts: Optional[memoryview] = None  # the index; made by `_index`
+        self._by_row: Optional[memoryview] = None
+        self._indexed = 0  # log entries the index covers
 
     @classmethod
     def adopt(cls, calls: Sequence["Call"]) -> "CallTable":
@@ -126,14 +140,44 @@ class CallTable:
         self.log_codes.append(code)
 
     def history(self, row: int) -> list:
-        """Row `row`'s statuses in order: a kept list, so an edit to it is seen by the next read."""
-        if self._histories is None:
-            self._histories = [[] for _ in range(len(self.status))]
-        rows, codes = self.log_rows, self.log_codes
-        for i in range(self._read, len(rows)):  # log entries since the last read
-            self._histories[rows[i]].append(STATUSES[codes[i]])
-        self._read = len(rows)
-        return self._histories[row]
+        """Row `row`'s statuses in order; the held list while someone holds it."""
+        if self._kept is None:
+            self._kept = WeakValueDictionary()
+        kept = self._kept.get(row)
+        if kept is None:
+            kept = self._kept[row] = _History()
+            kept.seen = 0
+        codes = self._logged(row, kept.seen)  # what the log holds beyond the list
+        kept.extend(map(STATUSES.__getitem__, codes))
+        kept.seen += len(codes)
+        return kept
+
+    def _logged(self, row: int, skip: int):
+        """The codes of row `row`'s log entries after its first `skip`."""
+        end = len(self.log_rows)
+        if self._starts is None or end - self._indexed > self._indexed:
+            self._index()
+        codes = self._by_row[self._starts[row] : self._starts[row + 1]]
+        if self._indexed < end:
+            tail = slice(self._indexed, end)
+            mine = np.frombuffer(self.log_rows, np.intc)[tail] == row
+            codes = codes.tobytes() + np.frombuffer(self.log_codes, np.int8)[tail][mine].tobytes()
+        return codes[skip:]
+
+    def _index(self) -> None:
+        """Index the whole log: its codes ordered by row, and where each row's begin."""
+        rows = np.frombuffer(self.log_rows, np.intc)
+        starts = np.zeros(len(self.status) + 1, np.int32)
+        np.cumsum(np.bincount(rows, minlength=len(self.status)), out=starts[1:])
+        by_row = np.frombuffer(self.log_codes, np.int8)[np.argsort(rows, kind="stable")]
+        self._starts, self._by_row = memoryview(starts), memoryview(by_row)
+        self._indexed = len(rows)
+
+
+class _History(list):
+    """A row's statuses as `CallTable.history` returned them; `seen` counts its log entries."""
+
+    __slots__ = ("__weakref__", "seen")
 
 
 def _column(name: str, optional: bool = False) -> property:
@@ -170,10 +214,13 @@ class Call:
 
     A view onto row `row` of the `CallTable` `table`.  A call made on its own
     owns a one-row table until a day adopts it; `CallTable.view` makes calls
-    over an existing table instead.
+    over an existing table instead.  `status_history` is the row's
+    statuses as `CallTable.history` returns them; the call keeps the last
+    list it returned, so an edit made through the call lasts as long as the
+    call does.
     """
 
-    __slots__ = ("id", "table", "row")
+    __slots__ = ("id", "table", "row", "_history")
 
     origin, destination = _place("origin_x"), _place("dest_x")
     created_at, max_wait = _column("created_at"), _column("max_wait")
@@ -219,7 +266,8 @@ class Call:
 
     @property
     def status_history(self) -> list:
-        return self.table.history(self.row)
+        self._history = self.table.history(self.row)
+        return self._history
 
     def set_status(self, new: CallStatus) -> None:
         self.table.set_status(self.row, STATUS_CODES[new])

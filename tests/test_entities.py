@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from dispatchsim.entities import (
     ALLOWED_TRANSITIONS,
+    ASSIGNED,
     CANCELED,
     EDGES,
     STATUSES,
+    WAITING,
     Call,
     CallPool,
     CallStatus,
@@ -127,6 +129,129 @@ def test_history_edits_persist_and_later_statuses_append():
     assert table[0].status_history is history
     assert history == [CallStatus.WAITING, "edited", CallStatus.CANCELED]
     assert table[1].status_history == [CallStatus.WAITING]
+
+
+def _logged(table, row):
+    """Row `row`'s statuses by a plain filter of the log."""
+    return [STATUSES[code] for r, code in zip(table.log_rows, table.log_codes) if r == row]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_history_reads_are_the_log_plus_the_held_lists_edits(data):
+    rows = 3
+    table = CallTable(rows)
+    holders = []  # calls kept alive between steps; each holds the last list it read
+    held = {}  # row -> [the list its holders share, what it should hold, log length at its last read]
+
+    def read(c):
+        """`c.status_history`, checked against the log and the held list's own edits."""
+        got = c.status_history
+        entry = held.get(c.row)
+        if entry is None:
+            assert got == _logged(table, c.row)
+            if any(h is c for h in holders):
+                held[c.row] = [got, list(got), len(table.log_rows)]
+        else:
+            assert got is entry[0]
+            lo, entry[2] = entry[2], len(table.log_rows)
+            entry[1] += [STATUSES[code] for r, code in zip(table.log_rows[lo:], table.log_codes[lo:])
+                         if r == c.row]
+            assert got == entry[1]
+        return got
+
+    for _ in range(data.draw(st.integers(0, 40))):
+        op = data.draw(st.sampled_from(["status", "fresh", "hold", "held", "edit", "drop", "adopt"]))
+        row = data.draw(st.integers(0, rows - 1))
+        mine = [h for h in holders if h.row == row]
+        # an index, not the call: Hypothesis keeps what it draws alive
+        pick = data.draw(st.integers(0, max(len(mine) - 1, 0)))
+        if op == "status":
+            now = STATUSES[table.status[row]]
+            if ALLOWED_TRANSITIONS[now]:
+                new = data.draw(st.sampled_from(sorted(ALLOWED_TRANSITIONS[now], key=STATUSES.index)))
+                table.set_status(row, STATUSES.index(new))
+        elif op == "fresh":
+            read(table[row])
+        elif op == "hold":
+            holders.append(table[row])
+            read(holders[-1])
+        elif op == "held" and mine:
+            read(mine[pick])
+        elif op == "edit" and mine:
+            got = read(mine[pick])
+            status = data.draw(st.sampled_from(STATUSES))
+            where = data.draw(st.integers(0, len(got)))
+            kind = data.draw(st.sampled_from(["insert", "append", "delete"]))
+            for edited in (got, held[row][1]):
+                if kind == "insert":
+                    edited.insert(where, status)
+                elif kind == "append":
+                    edited.append(status)
+                elif edited:
+                    del edited[where % len(edited)]
+            del got
+        elif op == "drop" and mine:
+            holders.remove(mine[pick])
+            del mine
+            if not any(h._history is held.get(row, [None])[0] for h in holders):
+                held.pop(row, None)  # no one holds it: the next read builds it from the log
+        elif op == "adopt":
+            # one call per row, with the edits its holders made; the others let go
+            calls = [next((h for h in holders if h.row == r), None) or table[r] for r in range(rows)]
+            holders = [c for c in calls if any(h is c for h in holders)]
+            histories = [list(read(c)) for c in calls]
+            table = CallTable.adopt(calls)
+            held.clear()
+            assert list(table.log_rows) == [r for r, h in enumerate(histories) for _ in h]
+            assert [STATUSES[code] for code in table.log_codes] == [s for h in histories for s in h]
+            assert [read(c) for c in calls] == histories
+            del calls
+    for row in range(rows):
+        read(table[row])
+
+
+def test_reads_between_statuses_index_the_log_again_only_when_its_tail_outgrows_the_index(monkeypatch):
+    rows = 1000
+    table = CallTable(rows)
+    built = []
+    index = CallTable._index
+    monkeypatch.setattr(CallTable, "_index", lambda t: built.append(len(t.log_rows)) or index(t))
+    for n, code in enumerate((ASSIGNED, WAITING, ASSIGNED), start=2):
+        for row in range(rows):
+            table.set_status(row, code)
+            assert len(table[row].status_history) == n
+            assert 2 * table._indexed >= len(table.log_rows)  # the scanned tail is at most the indexed part
+    assert built == [1001, 2003]
+
+
+def test_reading_every_history_keeps_only_the_index():
+    import tracemalloc
+
+    rows = 20_000
+    table = CallTable(rows)
+    for code in (STATUSES.index(CallStatus.ASSIGNED), STATUSES.index(CallStatus.WAITING)):
+        for row in range(rows):
+            table.set_status(row, code)
+    tracemalloc.start()
+    try:
+        # what keeping one list per row held: the lists a read now builds and drops
+        lists = [[] for _ in range(rows)]
+        for row, code in zip(table.log_rows, table.log_codes):
+            lists[row].append(STATUSES[code])
+        kept_lists, _ = tracemalloc.get_traced_memory()
+        del lists
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        for c in table:
+            assert len(c.status_history) == 3
+        del c
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept - base <= 500_000  # the index: one byte a log entry, four a row
+    assert peak - base < kept_lists
+    assert kept_lists > 1_500_000
 
 
 def test_call_requires_positive_tolerance():
