@@ -80,11 +80,17 @@ class EventQueue:
             )
         self._seq += 1
         if time >= self._last:  # the run's seqs are its column index + 1
+            try:
+                self._times.append(time)
+                self._kinds.append(kind)
+                self._id_a.append(id_a)
+                self._id_b.append(id_b)
+            except BaseException:  # a value a column cannot hold: undo the push
+                n = len(self._id_b)
+                del self._times[n:], self._kinds[n:], self._id_a[n:]
+                self._seq -= 1
+                raise
             self._last = time
-            self._times.append(time)
-            self._kinds.append(kind)
-            self._id_a.append(id_a)
-            self._id_b.append(id_b)
         else:
             self._last = math.nan
             heapq.heappush(self._heap, (time, self._seq, kind, id_a, id_b))

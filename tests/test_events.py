@@ -141,3 +141,16 @@ def test_pushed_times_and_ids_pop_back_equal_and_as_python_numbers_from_the_run(
             assert all(type(p[0]) is float and type(p[3]) is int and type(p[4]) is int
                        for p in popped)
     assert q.pop() is None
+
+
+@pytest.mark.parametrize("bad", [(2.0, 200, 2), (2.0, ev.NEW_CALL, 2**63), (2.0, ev.NEW_CALL, 2, -2**64),
+                                 (10**400, ev.NEW_CALL, 2)])
+def test_a_push_the_columns_refuse_leaves_the_queue_as_it_was(bad):
+    # the kind is a signed byte, each id a C long long and the time a C double
+    q = EventQueue()
+    q.push(1.0, ev.NEW_CALL, 1)
+    with pytest.raises(OverflowError):
+        q.push(*bad)
+    q.push(3.0, ev.NEW_CALL, 3)
+    assert len(q) == 2
+    assert [q.pop() for _ in range(3)] == [(1.0, 1, ev.NEW_CALL, 1, -1), (3.0, 2, ev.NEW_CALL, 3, -1), None]
