@@ -40,7 +40,10 @@ class Scenario:
         return max(1, round(self.fleet_ratio * daily_calls))
 
 
-# key -> (type, default)
+_BOX = BoundingBox()  # a NamedTuple's class attributes are its field getters
+
+# key -> (type, default); the defaults of the agent, stochastic and box keys
+# are those of their classes
 _SCHEMA = {
     "seed": (int, 1),
     "daily_calls": (int, 2000),  # evaluation-day cap
@@ -54,25 +57,25 @@ _SCHEMA = {
     "synthetic_base_rate": (float, 0.0),  # 0 -> derived from the daily cap
     "spatial_mode": (str, "uniform"),
     "clusters": (str, ""),  # "x,y,sigma,weight;..."
-    "tolerance_shape": (float, 2.0),
-    "tolerance_scale": (float, 4.0),
-    "reject_alpha": (float, 2.0),
-    "reject_beta": (float, 8.0),
-    "gamma": (float, 0.9),
-    "reward_bonus": (float, 2.0),
-    "epsilon_max": (float, 1.0),
-    "epsilon_min": (float, 0.05),
-    "epsilon_factor": (float, 0.99995),
-    "learning_starts": (int, 10000),
-    "update_steps": (int, 10000),
-    "batch_size": (int, 32),
-    "learning_rate": (float, 0.001),
-    "buffer_capacity": (int, 20000),
+    "tolerance_shape": (float, StochasticConfig.tolerance_shape),
+    "tolerance_scale": (float, StochasticConfig.tolerance_scale),
+    "reject_alpha": (float, StochasticConfig.reject_alpha),
+    "reject_beta": (float, StochasticConfig.reject_beta),
+    "gamma": (float, AgentConfig.gamma),
+    "reward_bonus": (float, AgentConfig.reward_bonus),
+    "epsilon_max": (float, AgentConfig.epsilon_max),
+    "epsilon_min": (float, AgentConfig.epsilon_min),
+    "epsilon_factor": (float, AgentConfig.epsilon_factor),
+    "learning_starts": (int, AgentConfig.learning_starts),
+    "update_steps": (int, AgentConfig.update_steps),
+    "batch_size": (int, AgentConfig.batch_size),
+    "learning_rate": (float, AgentConfig.learning_rate),
+    "buffer_capacity": (int, AgentConfig.buffer_capacity),
     "speed": (float, 0.05),  # box units per minute
-    "box_x_min": (float, 0.0),
-    "box_x_max": (float, 1.0),
-    "box_y_min": (float, 0.0),
-    "box_y_max": (float, 1.0),
+    "box_x_min": (float, _BOX.x_min),
+    "box_x_max": (float, _BOX.x_max),
+    "box_y_min": (float, _BOX.y_min),
+    "box_y_max": (float, _BOX.y_max),
     "week_origin_offset": (float, 0.0),
     "policies": (str, "fifo,lifo,nn,random,dqn"),
     "scenarios": (str, "very_easy,easy,medium,hard"),

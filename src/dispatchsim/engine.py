@@ -279,15 +279,9 @@ class Environment:
         # first `calls_created` rows; the waiting ones among them are the pool.
         announced = np.asarray(self.calls.status)[: self.metrics.calls_created]
         waiting = np.flatnonzero(announced == WAITING).tolist()
-        if waiting != self.pool.ids:
-            raise AssertionError(
-                f"pool desync at t={self.clock}: pool={self.pool.ids} waiting={waiting}"
-            )
-        # no name keeps the columns view, which would block the next pool change
-        stale = np.flatnonzero((self.pool.columns != self.calls.floats[:5, waiting]).any(axis=0))
-        if len(stale):
-            raise AssertionError(f"pool values desync at t={self.clock}: "
-                                 f"call {waiting[stale[0]]} differs from its row")
+        pooled = self.pool.ids.tolist()
+        if waiting != pooled:
+            raise AssertionError(f"pool desync at t={self.clock}: pool={pooled} waiting={waiting}")
         state = self.fleet_state
         idle = np.flatnonzero(state.idle).tolist()
         if idle != state.idle_ids:

@@ -97,18 +97,21 @@ class CallTable:
 
     @classmethod
     def adopt(cls, calls: Sequence["Call"]) -> "CallTable":
-        """One table holding `calls`' current state; each call is rebound to its row."""
+        """One table holding `calls`' current state; each call is rebound to its row.
+
+        A refusal leaves every call on its old table.
+        """
+        _check_ids(calls, "calls", "call")
         table = cls(len(calls))
         del table.log_rows[:], table.log_codes[:]
         for i, c in enumerate(calls):
-            if c.id != i:  # the engine indexes calls by id
-                raise ValueError(f"calls[{i}] has id {c.id}; call ids must be 0..n-1 in order")
             table.floats[:, i] = c.table.floats[:, c.row]
             table.status[i] = c.table.status[c.row]
             table.assigned_vehicle[i] = c.table.assigned_vehicle[c.row]
-            for status in c.status_history:
+            for status in c.table.history(c.row):  # the held list while the call holds it
                 table.log_rows.append(i)
                 table.log_codes.append(STATUS_CODES[status])
+        for i, c in enumerate(calls):
             c.table, c.row = table, i
         return table
 
@@ -180,33 +183,38 @@ class _History(list):
     __slots__ = ("__weakref__", "seen")
 
 
-def _column(name: str, optional: bool = False) -> property:
-    """A call attribute kept in float column `name`; nan reads as None when `optional`."""
-    col = CALL_FLOATS.index(name)
+def _column(col: int, optional: bool = False) -> property:
+    """A view's attribute kept in float column `col` of its table; nan is None when `optional`."""
 
-    def get(c):
-        value = c.table.columns[col][c.row]
+    def get(view):
+        value = view.table.columns[col][view.row]
         return None if optional and value != value else value
 
-    def put(c, value):
-        c.table.columns[col][c.row] = math.nan if value is None else value
+    def put(view, value):
+        view.table.columns[col][view.row] = math.nan if value is None else value
 
     return property(get, put)
 
 
-def _place(name: str) -> property:
-    """A call coordinate kept in float column `name` (x) and the next one (y)."""
-    col = CALL_FLOATS.index(name)
+def _place(col: int) -> property:
+    """A view coordinate kept in float columns `col` (x) and `col + 1` (y) of its table."""
 
-    def get(c):
-        columns, row = c.table.columns, c.row
+    def get(view):
+        columns, row = view.table.columns, view.row
         return _new_tuple(Coordinate, (columns[col][row], columns[col + 1][row]))
 
-    def put(c, at):
-        columns, row = c.table.columns, c.row
+    def put(view, at):
+        columns, row = view.table.columns, view.row
         columns[col][row], columns[col + 1][row] = at
 
     return property(get, put)
+
+
+def _check_ids(items: Sequence, name: str, kind: str) -> None:
+    """Refuse `items` unless item i has id i: the engine indexes calls and vehicles by id."""
+    for i, item in enumerate(items):
+        if item.id != i:
+            raise ValueError(f"{name}[{i}] has id {item.id}; {kind} ids must be 0..n-1 in order")
 
 
 class Call:
@@ -222,12 +230,13 @@ class Call:
 
     __slots__ = ("id", "table", "row", "_history")
 
-    origin, destination = _place("origin_x"), _place("dest_x")
-    created_at, max_wait = _column("created_at"), _column("max_wait")
-    assigned_at = _column("assigned_at", optional=True)
-    pickup_time = _column("pickup_time", optional=True)
-    completion_time = _column("completion_time", optional=True)
-    canceled_at = _column("canceled_at", optional=True)
+    # column numbers are places in `CALL_FLOATS`
+    origin, destination = _place(0), _place(2)
+    created_at, max_wait = _column(4), _column(5)
+    assigned_at = _column(6, optional=True)
+    pickup_time = _column(7, optional=True)
+    completion_time = _column(8, optional=True)
+    canceled_at = _column(9, optional=True)
 
     def __init__(self, id: int, created_at: float, origin: Coordinate, destination: Coordinate,
                  max_wait: float, status: CallStatus = CallStatus.WAITING,
@@ -277,27 +286,24 @@ _new_call = Call.__new__
 
 
 class CallPool:
-    """The waiting calls of one `CallTable`: their ids and one array of their call facts.
+    """The waiting calls of one `CallTable`, kept as their ids.
 
-    `ids` holds the pooled call ids in increasing order; an id is a row of
-    `table`.  `rows` holds five floats per pooled call, in `ids` order:
-    origin x, origin y, destination x, destination y and `created_at`,
-    copied from the table row when the call is pooled.  `columns` is a
-    fresh (5, len) float64 view onto `rows` on every read; column i
-    describes call `ids[i]`.  While a numpy view onto `rows` is alive,
-    resizing `rows` raises `BufferError`, so no caller may keep `columns`
-    across an `add` or a `discard`.  `pool[cid]` and `values()` give views
-    onto the table's rows.
+    `ids` is an `array('q')` of the pooled call ids in increasing order; an
+    id is a row of `table`.  `columns` gathers five table columns at the
+    pooled rows on every read: origin x, origin y, destination x,
+    destination y and `created_at`.  It is a fresh C-contiguous (5, len)
+    float64 array whose column i describes call `ids[i]`, so it always
+    shows the table's current values.  `pool[cid]` and `values()` give
+    views onto the table's rows.
     """
 
     def __init__(self, table: CallTable):
         self.table = table
-        self.ids: List[int] = []
-        self.rows = array("d")
+        self.ids = array("q")
 
     @property
     def columns(self) -> np.ndarray:
-        return np.frombuffer(self.rows).reshape(-1, 5).T
+        return self.table.floats[:5].take(np.frombuffer(self.ids, np.int64), axis=1)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -320,26 +326,21 @@ class CallPool:
 
     def add(self, cid: int) -> None:
         """Pool call `cid`; a call already pooled keeps its place."""
-        ids, t = self.ids, self.table
-        slot = len(ids)
-        if slot and cid <= ids[-1]:  # out of id order, or pooled again after a rejection
+        if not 0 <= cid < len(self.table.status):  # `columns` would fail only at its next read
+            raise IndexError(f"call {cid} is not a row of the pool's table")
+        ids = self.ids
+        if ids and cid <= ids[-1]:  # out of id order, or pooled again after a rejection
             slot = bisect_left(ids, cid)
-            if ids[slot] == cid:
-                return
-        facts = (t.origin_x[cid], t.origin_y[cid], t.dest_x[cid], t.dest_y[cid], t.created_at[cid])
-        # `rows` changes first: a `BufferError` leaves the pool as it was
-        if slot == len(ids):  # calls arrive in id order
-            self.rows.extend(facts)
-        else:
-            self.rows[5 * slot : 5 * slot] = array("d", facts)
-        ids.insert(slot, cid)
+            if ids[slot] != cid:
+                ids.insert(slot, cid)
+        else:  # calls arrive in id order
+            ids.append(cid)
 
     def discard(self, cid: int) -> None:
         """Remove call `cid` if it is pooled."""
         ids = self.ids
         slot = bisect_left(ids, cid)
         if slot < len(ids) and ids[slot] == cid:
-            del self.rows[5 * slot : 5 * slot + 5]
             del ids[slot]
 
 
@@ -352,7 +353,8 @@ class FleetState:
     nearest-idle scan takes (`idle_flags` is a memoryview onto it), and
     `idle_ids` the increasing ids of the vehicles whose flag is 1; a
     vehicle is busy exactly when its flag is 0.  `set_busy` is the one
-    write path of the mask and the ids.
+    write path of the mask and the ids.  Row r is vehicle r, and
+    `view(r)` gives it, as `CallTable.view` gives a call.
     """
 
     def __init__(self, n: int):
@@ -365,14 +367,17 @@ class FleetState:
 
     @classmethod
     def adopt(cls, fleet: Sequence["Vehicle"]) -> "FleetState":
-        """One store holding `fleet`'s current state; each vehicle is rebound to its row."""
+        """One store holding `fleet`'s current state; each vehicle is rebound to its row.
+
+        A refusal leaves every vehicle on its old store.
+        """
+        _check_ids(fleet, "fleet", "vehicle")
         state = cls(len(fleet))
         for i, v in enumerate(fleet):
-            if v.id != i:  # the engine indexes the fleet by vehicle id
-                raise ValueError(f"fleet[{i}] has id {v.id}; vehicle ids must be 0..n-1 in order")
-            state.floats[:, i] = v.store.floats[:, v.row]
+            state.floats[:, i] = v.table.floats[:, v.row]
             state.set_busy(i, v.busy)
-            v.bind(state, i)
+        for i, v in enumerate(fleet):
+            v.table, v.row = state, i
         return state
 
     def set_busy(self, vid: int, busy: bool) -> None:
@@ -395,84 +400,53 @@ class FleetState:
         free_at[vid] = 0.0
         self.set_busy(vid, False)
 
+    def view(self, row: int) -> "Vehicle":
+        v = _new_vehicle(Vehicle)
+        v.id, v.table, v.row = row, self, row
+        return v
+
     def views(self) -> List["Vehicle"]:
         """One vehicle per row, vehicle i a view onto row i; the rows keep their values."""
-        fleet = []
-        for i in range(len(self.idle)):
-            v = Vehicle.__new__(Vehicle)
-            v.id = i
-            v.bind(self, i)
-            fleet.append(v)
-        return fleet
-
-
-def _cell(col: int) -> property:
-    """A vehicle attribute kept in float column `col` of the vehicle's row."""
-
-    def get(v):
-        return v._floats[col]
-
-    def put(v, value):
-        v._floats[col] = value
-
-    return property(get, put)
-
-
-def _point(col: int) -> property:
-    """A vehicle coordinate kept in float columns `col` and `col + 1` of its row."""
-
-    def get(v):
-        return _new_tuple(Coordinate, (v._floats[col], v._floats[col + 1]))
-
-    def put(v, at):
-        v._floats[col], v._floats[col + 1] = at
-
-    return property(get, put)
+        return list(map(self.view, range(len(self.idle))))
 
 
 class Vehicle:
-    """A fleet unit: a view onto row `row` of the `FleetState` `store`.
+    """A fleet unit: a view onto row `row` of the `FleetState` `table`.
 
     A vehicle made on its own owns a one-row store until an environment
-    adopts its fleet; `FleetState.views` makes vehicles over an existing
+    adopts its fleet; `FleetState.view` makes vehicles over an existing
     store instead.  `reject_prob` is sampled once at creation.
     """
 
-    __slots__ = ("id", "store", "row", "_floats")
+    __slots__ = ("id", "table", "row")
 
-    location = _point(0)
-    move_destination = _point(2)
-    free_at = _cell(4)  # absolute time the current service ends
-    reject_prob = _cell(5)
+    # column numbers are the rows of `FleetState.floats`
+    location, move_destination = _place(0), _place(2)
+    free_at = _column(4)  # absolute time the current service ends
+    reject_prob = _column(5)
 
     def __init__(self, id: int, location: Coordinate, move_destination: Coordinate,
                  busy: bool = False, free_at: float = 0.0, reject_prob: float = 0.0):
         if not 0.0 <= reject_prob <= 1.0:
             raise ValueError(f"vehicle {id}: reject_prob outside [0,1]")
-        self.id = id
-        self.bind(FleetState(1), 0)
+        self.id, self.table, self.row = id, FleetState(1), 0
         self.location, self.move_destination = location, move_destination
         self.busy, self.free_at, self.reject_prob = busy, free_at, reject_prob
 
-    def bind(self, store: FleetState, row: int) -> None:
-        """Make this vehicle a view onto row `row` of `store`."""
-        self.store, self.row = store, row
-        # A memoryview onto the row: scalar access through it costs about
-        # half of numpy indexing and gives Python floats.
-        self._floats = memoryview(store.floats[:, row])
-
     @property
     def busy(self) -> bool:
-        return not self.store.idle_flags[self.row]
+        return not self.table.idle_flags[self.row]
 
     @busy.setter
     def busy(self, value: bool) -> None:
-        self.store.set_busy(self.row, bool(value))
+        self.table.set_busy(self.row, bool(value))
 
     def time_to_free(self, clock: float) -> float:
         """Remaining minutes of the current service; 0 when idle."""
         return max(0.0, self.free_at - clock) if self.busy else 0.0
 
     def set_idle(self, at: Coordinate) -> None:
-        self.store.set_idle(self.row, *at)
+        self.table.set_idle(self.row, *at)
 
+
+_new_vehicle = Vehicle.__new__

@@ -66,7 +66,7 @@ def free_vehicle_candidates(env, vehicle: Vehicle) -> Tuple[np.ndarray, List[int
     """Feature matrix over the waiting pool for a free-vehicle epoch."""
     calls = env.pool.columns  # origin x/y, destination x/y, created_at
     rows = slice(vehicle.row, vehicle.row + 1)
-    out = _vehicle_block(vehicle.store, rows, calls.shape[1], env.clock)
+    out = _vehicle_block(vehicle.table, rows, calls.shape[1], env.clock)
     out[:, 7:11] = calls[:4].T
     out[:, 11] = env.clock - calls[4]  # the waiting time so far in minutes
     out[:, 12:] = context_features(env)

@@ -104,7 +104,7 @@ class NearestPolicy(DispatchPolicy):
         pool = env.pool
         if not pool:
             return None
-        xs, ys = pool.columns[:2].copy()  # the compiled scan reads C-contiguous vectors only
+        xs, ys = pool.columns[:2]
         return pool.ids[nearest_index(xs, ys, *vehicle.location)]
 
 

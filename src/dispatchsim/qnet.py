@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 DEFAULT_DIMS = (15, 64, 32, 1)
-LEAKY_SLOPE = 0.01
+LEAKY_SLOPE = 0.01  # in [0, 1], as the activation is max(z, slope * z)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -58,17 +58,12 @@ class QNetwork:
         dims: Sequence[int] = DEFAULT_DIMS,
         rng: Optional[np.random.Generator] = None,
         dtype=np.float32,
-        leaky_slope: float = LEAKY_SLOPE,
         *,
         init: bool = True,
     ):
         """`init=False` leaves every parameter 0 and draws nothing, for copies and loads."""
         self.dims = layer_dims(dims)
-        if not 0.0 <= leaky_slope <= 1.0:
-            # the activation is computed as max(z, slope * z)
-            raise ValueError(f"leaky_slope must be in [0, 1], got {leaky_slope}")
         self.dtype = np.dtype(dtype)
-        self.leaky_slope = leaky_slope
         shapes = [
             shape
             for fan_in, fan_out in zip(self.dims[:-1], self.dims[1:])
@@ -107,7 +102,7 @@ class QNetwork:
         cache = []
         h = x
         last = len(self.weights) - 1
-        slope = self.dtype.type(self.leaky_slope)
+        slope = self.dtype.type(LEAKY_SLOPE)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = h @ w
             z += b
@@ -133,7 +128,7 @@ class QNetwork:
         dq = (smooth_l1_grad(q, target) / n).astype(self.dtype)
 
         grads: List[np.ndarray] = [None] * (2 * len(self.weights))
-        slope = self.dtype.type(self.leaky_slope)
+        slope = self.dtype.type(LEAKY_SLOPE)
         delta = dq[:, None]  # gradient w.r.t. the layer output
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
@@ -178,7 +173,7 @@ class QNetwork:
         self.params[...] = other.params
 
     def clone(self) -> "QNetwork":
-        twin = QNetwork(self.dims, dtype=self.dtype, leaky_slope=self.leaky_slope, init=False)
+        twin = QNetwork(self.dims, dtype=self.dtype, init=False)
         twin.copy_from(self)
         return twin
 

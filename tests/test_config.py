@@ -106,6 +106,51 @@ def test_serialize_round_trip():
     assert again.values == cfg.values
 
 
+DEFAULTS = """\
+seed=1
+daily_calls=2000
+train_daily_calls=1000
+train_days=4
+train_reps=1
+eval_days=5
+eval_seeds=1
+demand_mode=synthetic
+records_path=
+synthetic_base_rate=0.0
+spatial_mode=uniform
+clusters=
+tolerance_shape=2.0
+tolerance_scale=4.0
+reject_alpha=2.0
+reject_beta=8.0
+gamma=0.9
+reward_bonus=2.0
+epsilon_max=1.0
+epsilon_min=0.05
+epsilon_factor=0.99995
+learning_starts=10000
+update_steps=10000
+batch_size=32
+learning_rate=0.001
+buffer_capacity=20000
+speed=0.05
+box_x_min=0.0
+box_x_max=1.0
+box_y_min=0.0
+box_y_max=1.0
+week_origin_offset=0.0
+policies=fifo,lifo,nn,random,dqn
+scenarios=very_easy,easy,medium,hard
+out_dir=out
+event_trace=0
+max_events_per_day=10000000
+"""
+
+
+def test_an_empty_config_serializes_to_the_pinned_defaults():
+    assert serialize(parse_lines([])) == DEFAULTS
+
+
 def test_parse_config_reads_files(tmp_path):
     p = tmp_path / "exp.cfg"
     p.write_text("seed=3\ndaily_calls=500\n")

@@ -121,6 +121,41 @@ def test_adopted_calls_keep_their_state_and_history():
         CallTable.adopt([make_call(id=1)])
 
 
+def _call_facts(c):
+    return (c.table, c.row, c.table.floats[:, c.row].tobytes(), c.status, c.assigned_vehicle,
+            list(c.status_history))
+
+
+@pytest.mark.parametrize("fault", ["wrong id", "history edit"])
+def test_a_refused_call_adoption_leaves_every_call_on_its_table(fault):
+    calls = [make_call(id=i, created_at=float(i)) for i in range(3)]
+    calls[1].set_status(CallStatus.ASSIGNED)
+    calls[1].assigned_vehicle = 5
+    if fault == "wrong id":
+        calls.append(make_call(id=5))
+        refusal = pytest.raises(ValueError, match=r"calls\[3\] has id 5")
+    else:  # a history holding a non-status has no status code
+        calls[2].status_history.append("edited")
+        refusal = pytest.raises(KeyError)
+    before = list(map(_call_facts, calls))
+    with refusal:
+        CallTable.adopt(calls)
+    assert list(map(_call_facts, calls)) == before
+
+
+def test_a_refused_fleet_adoption_leaves_every_vehicle_on_its_store():
+    fleet = [Vehicle(vid, Coordinate(0.25, 0.125 * vid), Coordinate(0.5, 0.5), busy=vid == 1,
+                     free_at=2.0 * vid, reject_prob=0.25) for vid in (0, 1, 3)]
+
+    def facts(v):
+        return (v.table, v.row, v.location, v.move_destination, v.busy, v.free_at, v.reject_prob)
+
+    before = list(map(facts, fleet))
+    with pytest.raises(ValueError, match=r"fleet\[2\] has id 3; vehicle ids must be 0..n-1"):
+        FleetState.adopt(fleet)
+    assert list(map(facts, fleet)) == before
+
+
 def test_history_edits_persist_and_later_statuses_append():
     table = CallTable(2)
     history = table[0].status_history
@@ -270,21 +305,12 @@ def test_call_rejects_a_nan_tolerance():
         make_call(id=6, max_wait=math.nan)
 
 
-def test_a_live_columns_view_blocks_pool_changes_and_leaves_the_pool_whole():
-    table = CallTable.adopt([make_call(id=i, created_at=float(i)) for i in range(3)])
-    pool = CallPool(table)
-    pool.add(1)
-    columns = pool.columns
-    for change in (lambda: pool.add(2), lambda: pool.add(0), lambda: pool.discard(1)):
-        with pytest.raises(BufferError):
-            change()
-        assert pool.ids == [1] and len(pool.rows) == 5
-    del columns
-    pool.add(2)
-    pool.add(0)
-    pool.discard(1)
-    assert pool.ids == [0, 2]
-    np.testing.assert_array_equal(pool.columns[4], [0.0, 2.0])
+def test_the_pool_refuses_an_id_outside_its_table():
+    pool = CallPool(CallTable(3))
+    for cid in (-1, 3):
+        with pytest.raises(IndexError, match=f"call {cid} is not a row of the pool's table"):
+            pool.add(cid)
+    assert len(pool) == 0
 
 
 def _assert_idle_index(state):
@@ -299,7 +325,7 @@ toggles = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 2)), max_size=60)
 @given(toggles, toggles)
 def test_idle_ids_follow_the_idle_mask(before, after):
     fleet = FleetState(8).views()
-    state = fleet[0].store
+    state = fleet[0].table
     _assert_idle_index(state)
 
     def apply(ops):

@@ -138,7 +138,7 @@ def test_implementation_label():
 
 
 def test_nearest_policy_reads_the_pool_through_the_compiled_scan(compiled, monkeypatch):
-    # the pool keeps five values per call, so its columns are strided views
+    # the pool gathers its columns from the call table at each read
     import dispatchsim.policies as policies
     from dispatchsim.engine import Environment
     from dispatchsim.entities import Call, Vehicle

@@ -350,7 +350,7 @@ def test_call_pool_matches_a_dict(seed):
             ref[cid] = calls[cid]
         pool = env.pool
         assert len(pool) == len(ref) and bool(pool) == bool(ref)
-        assert list(pool) == pool.ids == sorted(ref)
+        assert list(pool) == list(pool.ids) == sorted(ref)
         assert [c.id for c in pool.values()] == sorted(ref)
         assert all(cid in pool for cid in ref) and next_id + 1 not in pool
         np.testing.assert_array_equal(pool.columns, np.reshape(_pool_columns(ref), (-1, 5)).T)
@@ -375,7 +375,7 @@ def test_assigning_a_dict_to_the_pool_converts_it():
     calls = {7: day[7], 3: day[3], 9: day[9]}
     env.pool = calls
     assert isinstance(env.pool, CallPool)
-    assert list(env.pool) == env.pool.ids == [3, 7, 9]
+    assert list(env.pool) == list(env.pool.ids) == [3, 7, 9]
     np.testing.assert_array_equal(env.pool.columns, np.array(_pool_columns(calls)).T)
     assert NearestPolicy().choose_call(env, env.fleet[0]) == 9
     pool = CallPool(env.calls)
@@ -385,3 +385,11 @@ def test_assigning_a_dict_to_the_pool_converts_it():
         env.pool = {4: call(4, 1.0, 0.0, 0.5)}
     with pytest.raises(ValueError, match="call 5 is not a row"):
         env.pool = {5: day[6]}
+
+
+def test_the_pool_reads_the_call_table():
+    env = _env([vehicle(0, 0.0, 0.0)], [call(i, float(i), 0.5 + 0.125 * i, 0.0) for i in range(3)])
+    assert NearestPolicy().choose_call(env, env.fleet[0]) == 0
+    env.calls.origin_x[2] = 0.25
+    assert env.pool.columns[0].tolist() == [0.5, 0.625, 0.25]
+    assert NearestPolicy().choose_call(env, env.fleet[0]) == 2

@@ -106,13 +106,6 @@ def test_nonfinite_deeper_layer_is_named():
         net.forward(np.array([[1.0, 1.0]]))
 
 
-def test_rejects_leaky_slope_outside_unit_interval():
-    with pytest.raises(ValueError):
-        QNetwork((2, 2, 1), leaky_slope=1.5)
-    with pytest.raises(ValueError):
-        QNetwork((2, 2, 1), leaky_slope=-0.1)
-
-
 def test_gradient_check_against_finite_differences():
     # 64-bit network, inputs seeded away from the activation and loss kinks
     rng = np.random.default_rng(11)
@@ -227,12 +220,12 @@ def test_clone_and_copy_from():
 
 
 def test_clone_is_bit_identical_with_a_fresh_optimizer(monkeypatch):
-    net = QNetwork((4, 6, 1), rng=np.random.default_rng(9), dtype=np.float64, leaky_slope=0.2)
+    net = QNetwork((4, 6, 1), rng=np.random.default_rng(9), dtype=np.float64)
     x = np.random.default_rng(10).normal(size=(5, 4))
     net.train_batch(x, np.ones(5), lr=0.01)  # gives the source a nonzero Adam state
     monkeypatch.setattr(np.random, "default_rng", None)  # a clone draws no weights
     twin = net.clone()
-    assert (twin.dims, twin.dtype, twin.leaky_slope) == (net.dims, net.dtype, net.leaky_slope)
+    assert (twin.dims, twin.dtype) == (net.dims, net.dtype)
     assert twin.params.tobytes() == net.params.tobytes()
     assert twin.params is not net.params
     assert twin.adam_t == 0 and not twin.adam_m.any() and not twin.adam_v.any()
