@@ -11,7 +11,6 @@ from .demand import DemandError
 from .engine import SimulationAborted
 from .harness import (
     demand_source_from_config,
-    emit_report,
     make_policy,
     recompute_report_from_per_day_csv,
     report_csv_lines,
@@ -20,6 +19,7 @@ from .harness import (
     run_training,
     simulate_day,
     load_dqn_policy,
+    write_lines,
 )
 
 
@@ -135,12 +135,12 @@ def _dispatch(args) -> int:
 
     if args.verb == "report":
         report = recompute_report_from_per_day_csv(args.per_day_csv)
+        lines = (report_csv_lines if args.format == "csv" else report_text_table)(report)
         if args.output:
-            emit_report(report, args.output, fmt=args.format)
+            write_lines(args.output, lines)
             print(f"report written to {args.output}")
         else:
-            text = args.format == "text-table"
-            print("\n".join(report_text_table(report) if text else report_csv_lines(report)))
+            print("\n".join(lines))
         return 0
 
     return 2

@@ -7,8 +7,8 @@ Every knob has a desk-scale default so a minimal file (`seed=1`) runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 from .agent import AgentConfig
 from .demand import GaussianCluster, StochasticConfig
@@ -22,6 +22,12 @@ SCENARIO_RATIOS = {
 }
 
 VALID_POLICIES = ("fifo", "lifo", "nn", "random", "dqn")
+
+# the comma-separated keys of names: (key, what a name is, the known names)
+_NAME_LISTS = (
+    ("policies", "policy", VALID_POLICIES),
+    ("scenarios", "scenario", SCENARIO_RATIOS),
+)
 
 
 class ConfigError(Exception):
@@ -231,14 +237,17 @@ def _validate(values: Dict[str, object]) -> None:
         raise ConfigError("spatial_mode=clusters needs at least one cluster in key 'clusters'")
     if not values["box_x_min"] < values["box_x_max"] or not values["box_y_min"] < values["box_y_max"]:
         raise ConfigError("bounding box is degenerate")
-    for p in values["policies"].split(","):
-        if p.strip() and p.strip() not in VALID_POLICIES:
-            raise ConfigError(f"unknown policy {p.strip()!r}")
-    for s in values["scenarios"].split(","):
-        if s.strip() and s.strip() not in SCENARIO_RATIOS:
-            raise ConfigError(f"unknown scenario {s.strip()!r}")
-    for key in ("policies", "scenarios"):
-        if not values[key].replace(",", "").strip():
+    for key, noun, known in _NAME_LISTS:
+        names = set()
+        for name in values[key].split(","):
+            name = name.strip()
+            if name in names:  # its days would be run and counted twice
+                raise ConfigError(f"{noun} {name!r} is listed twice in key {key!r}")
+            if name in known:
+                names.add(name)
+            elif name:
+                raise ConfigError(f"unknown {noun} {name!r}")
+        if not names:
             raise ConfigError(f"key {key!r} is empty")
 
 

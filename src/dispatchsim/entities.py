@@ -45,8 +45,8 @@ STATUS_CODES = {status: code for code, status in enumerate(STATUSES)}
 EDGES = np.array([[b in ALLOWED_TRANSITIONS[a] for b in STATUSES] for a in STATUSES], np.int8)
 _EDGE = EDGES.tobytes()  # flat and row-major; indexing it gives Python ints
 
-# The float columns of a `CallTable`, in row order; the first five are the
-# `CallPool` columns.
+# The float columns of a `CallTable`, in row order; the first five are what
+# `CallPool.columns` gathers by default.
 CALL_FLOATS = (
     "origin_x", "origin_y", "dest_x", "dest_y", "created_at", "max_wait",
     "assigned_at", "pickup_time", "completion_time", "canceled_at",
@@ -289,21 +289,21 @@ class CallPool:
     """The waiting calls of one `CallTable`, kept as their ids.
 
     `ids` is an `array('q')` of the pooled call ids in increasing order; an
-    id is a row of `table`.  `columns` gathers five table columns at the
-    pooled rows on every read: origin x, origin y, destination x,
-    destination y and `created_at`.  It is a fresh C-contiguous (5, len)
-    float64 array whose column i describes call `ids[i]`, so it always
-    shows the table's current values.  `pool[cid]` and `values()` give
-    views onto the table's rows.
+    id is a row of `table`.  `columns(rows)` gathers the table's float
+    rows `rows` (an index or a slice into `CALL_FLOATS`; by default the
+    first five: origin x, origin y, destination x, destination y and
+    `created_at`) at the pooled calls on every call.  It is a fresh
+    C-contiguous float64 array whose last axis runs over `ids`, so it
+    always shows the table's current values; a rule gathers only the rows
+    it reads.  `pool[cid]` and `values()` give views onto the table's rows.
     """
 
     def __init__(self, table: CallTable):
         self.table = table
         self.ids = array("q")
 
-    @property
-    def columns(self) -> np.ndarray:
-        return self.table.floats[:5].take(np.frombuffer(self.ids, np.int64), axis=1)
+    def columns(self, rows=slice(5)) -> np.ndarray:
+        return self.table.floats[rows].take(np.frombuffer(self.ids, np.int64), axis=-1)
 
     def __len__(self) -> int:
         return len(self.ids)

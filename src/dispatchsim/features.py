@@ -64,7 +64,7 @@ def new_call_candidates(env, call: Call) -> Tuple[np.ndarray, List[int]]:
 
 def free_vehicle_candidates(env, vehicle: Vehicle) -> Tuple[np.ndarray, List[int]]:
     """Feature matrix over the waiting pool for a free-vehicle epoch."""
-    calls = env.pool.columns  # origin x/y, destination x/y, created_at
+    calls = env.pool.columns()  # origin x/y, destination x/y, created_at
     rows = slice(vehicle.row, vehicle.row + 1)
     out = _vehicle_block(vehicle.table, rows, calls.shape[1], env.clock)
     out[:, 7:11] = calls[:4].T

@@ -234,16 +234,29 @@ class ReportRow:
     n: int
 
 
+def _day_fields(m: DayMetrics) -> Tuple[str, ...]:
+    """A day's `per_day.csv` fields after `date`, as written: floats to 9 significant digits."""
+    return (
+        m.policy, m.scenario, str(m.calls_created), str(m.calls_served), str(m.calls_canceled),
+        f"{m.avg_delay:.9g}", f"{m.cancel_rate:.9g}", f"{m.sum_service_time:.9g}", str(m.seed),
+    )
+
+
 def aggregate(per_day: List[DayMetrics]) -> List[ReportRow]:
-    """Mean and 95% CI of each metric per (policy, scenario)."""
-    groups: Dict[Tuple[str, str], List[DayMetrics]] = {}
-    for m in per_day:
-        groups.setdefault((m.policy, m.scenario), []).append(m)
+    """Mean and 95% CI of each metric per (policy, scenario), over the values as written."""
+    return _aggregate_fields([_day_fields(m) for m in per_day])
+
+
+def _aggregate_fields(days: List[Sequence[str]]) -> List[ReportRow]:
+    """`aggregate` over days given as their `_day_fields`."""
+    groups: Dict[Tuple[str, str], List[Sequence[str]]] = {}
+    for fields in days:
+        groups.setdefault((fields[0], fields[1]), []).append(fields)
     rows = []
-    for (policy, scenario) in sorted(groups):
-        days = groups[(policy, scenario)]
-        for metric in sorted(METRIC_NAMES):
-            values = np.array([_metric_value(d, metric) for d in days], dtype=float)
+    for (policy, scenario), group in sorted(groups.items()):
+        # METRIC_NAMES is sorted and in field order, from field 5 on
+        for col, metric in enumerate(METRIC_NAMES, start=5):
+            values = np.array([float(fields[col]) for fields in group])
             mean = float(values.mean())
             sd = float(values.std(ddof=1)) if len(values) > 1 else 0.0
             half = 1.96 * sd / math.sqrt(len(values))
@@ -253,25 +266,10 @@ def aggregate(per_day: List[DayMetrics]) -> List[ReportRow]:
     return rows
 
 
-def _metric_value(m: DayMetrics, metric: str) -> float:
-    if metric == "avg_delay_min":
-        return m.avg_delay
-    if metric == "cancel_rate":
-        return m.cancel_rate
-    if metric == "total_service_min":
-        return m.sum_service_time
-    raise ValueError(f"unknown metric {metric!r}")
-
-
 def per_day_csv_lines(per_day: List[DayMetrics], dates: List[str]) -> List[str]:
-    lines = [PER_DAY_HEADER]
-    for date, m in zip(dates, per_day):
-        lines.append(
-            f"{date},{m.policy},{m.scenario},{m.calls_created},{m.calls_served},"
-            f"{m.calls_canceled},{m.avg_delay:.9g},{m.cancel_rate:.9g},"
-            f"{m.sum_service_time:.9g},{m.seed}"
-        )
-    return lines
+    return [PER_DAY_HEADER] + [
+        ",".join((date, *_day_fields(m))) for date, m in zip(dates, per_day)
+    ]
 
 
 def run_evaluation(
@@ -314,8 +312,8 @@ def run_evaluation(
     report = aggregate(per_day)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        _write_lines(os.path.join(out_dir, "per_day.csv"), per_day_csv_lines(per_day, dates))
-        _write_lines(os.path.join(out_dir, "report.csv"), report_csv_lines(report))
+        write_lines(os.path.join(out_dir, "per_day.csv"), per_day_csv_lines(per_day, dates))
+        write_lines(os.path.join(out_dir, "report.csv"), report_csv_lines(report))
     return report, per_day
 
 
@@ -343,37 +341,36 @@ def report_text_table(report: List[ReportRow]) -> List[str]:
     return lines
 
 
-def emit_report(report: List[ReportRow], path, fmt: str = "csv") -> None:
-    if not report:
-        raise ValueError("report is empty")
-    if fmt == "csv":
-        _write_lines(path, report_csv_lines(report))
-    elif fmt == "text-table":
-        _write_lines(path, report_text_table(report))
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
-
-
-def _write_lines(path, lines: List[str]) -> None:
+def write_lines(path, lines: List[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _check_per_day_row(created: int, served: int, canceled: int, **metrics: float) -> None:
-    """Refuse counts and metric values that no simulated day can produce."""
+def _check_per_day_row(fields: Sequence[str]) -> None:
+    """Refuse a `per_day.csv` row that no simulated day can produce."""
+    created, served, canceled, _seed = (int(fields[i]) for i in (3, 4, 5, 9))
+    values = [float(fields[i]) for i in (6, 7, 8)]
+    avg_delay, cancel_rate, service = values
     for name, count in (("created", created), ("served", served), ("canceled", canceled)):
         if count < 0:
             raise ValueError(f"{name} count {count} is negative")
     if served + canceled > created:
         raise ValueError(f"served {served} plus canceled {canceled} exceed created {created}")
-    for name, value in metrics.items():
+    for name, value in zip(METRIC_NAMES, values):
         if not (math.isfinite(value) and value >= 0.0):
             raise ValueError(f"{name} {value} is not finite and non-negative")
+    if cancel_rate != float(f"{canceled / created if created else 0.0:.9g}"):
+        raise ValueError(f"cancel_rate {cancel_rate} is not canceled/created {canceled}/{created}")
+    if not served:
+        for name, value in (("avg_delay_min", avg_delay), ("total_service_min", service)):
+            if value:
+                raise ValueError(f"{name} {value} on a day that served no call")
 
 
 def recompute_report_from_per_day_csv(path) -> List[ReportRow]:
     """Re-aggregate a per-day CSV; used by the `report` CLI verb."""
-    metrics: List[DayMetrics] = []
+    days: List[List[str]] = []
+    first_line: Dict[Tuple[str, ...], int] = {}  # (date, policy, scenario) -> line
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != PER_DAY_HEADER:
@@ -381,22 +378,21 @@ def recompute_report_from_per_day_csv(path) -> List[ReportRow]:
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            parts = line.strip().split(",")
-            if len(parts) != 10:
-                raise ValueError(f"{path}: line {lineno}: expected 10 fields, got {len(parts)}")
+            fields = line.strip().split(",")
             try:
-                created, served, canceled, seed = (int(parts[i]) for i in (3, 4, 5, 9))
-                avg_delay, cancel_rate, service = (float(parts[i]) for i in (6, 7, 8))
-                _check_per_day_row(
-                    created, served, canceled,
-                    avg_delay_min=avg_delay, cancel_rate=cancel_rate, total_service_min=service,
-                )
+                if len(fields) != 10:
+                    raise ValueError(f"expected 10 fields, got {len(fields)}")
+                _check_per_day_row(fields)
+                day = tuple(fields[:3])
+                if day in first_line:
+                    raise ValueError(
+                        f"day {day[0]} of policy {day[1]} in scenario {day[2]} "
+                        f"repeats line {first_line[day]}"
+                    )
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            m = DayMetrics(parts[1], parts[2], seed, created, served, canceled)
-            m.sum_delay = avg_delay * served
-            m.sum_service_time = service
-            metrics.append(m)
-    if not metrics:
+            first_line[day] = lineno
+            days.append(fields[1:])
+    if not days:
         raise ValueError(f"{path}: no per-day rows")
-    return aggregate(metrics)
+    return _aggregate_fields(days)

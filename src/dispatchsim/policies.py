@@ -46,6 +46,10 @@ class DispatchPolicy:
         pass
 
 
+# The `CallPool.columns` rows the rules read (see `entities.CALL_FLOATS`):
+# the origin's x and y, and `created_at`
+_ORIGIN, _CREATED_AT = slice(2), 4
+
 # Above this many idle vehicles the masked scan over the whole fleet is
 # faster than a Python loop over the idle ids.  Measured with the numpy
 # fallback on a 1,000-vehicle fleet (2 vCPUs, x86_64): the loop costs about
@@ -80,7 +84,7 @@ class FifoPolicy(DispatchPolicy):
         # the columns are id-ordered and argmin takes the first minimum,
         # so ties go to the lowest id
         pool = env.pool
-        return pool.ids[int(pool.columns[4].argmin())] if pool else None
+        return pool.ids[int(pool.columns(_CREATED_AT).argmin())] if pool else None
 
 
 class LifoPolicy(DispatchPolicy):
@@ -91,7 +95,7 @@ class LifoPolicy(DispatchPolicy):
 
     def choose_call(self, env, vehicle):
         pool = env.pool
-        return pool.ids[int(pool.columns[4].argmax())] if pool else None
+        return pool.ids[int(pool.columns(_CREATED_AT).argmax())] if pool else None
 
 
 class NearestPolicy(DispatchPolicy):
@@ -104,7 +108,7 @@ class NearestPolicy(DispatchPolicy):
         pool = env.pool
         if not pool:
             return None
-        xs, ys = pool.columns[:2]
+        xs, ys = pool.columns(_ORIGIN)
         return pool.ids[nearest_index(xs, ys, *vehicle.location)]
 
 

@@ -339,10 +339,26 @@ def set_fields(**values):
         (set_fields(created=10, served=12, canceled=-3, avg_delay_min="nan",
                     total_service_min="inf"),
          "line 3: canceled count -3 is negative"),
+        # a day's cancel rate is canceled/created as written, to 9 digits
+        (set_fields(created=300, served=100, canceled=161, cancel_rate=5),
+         "line 3: cancel_rate 5.0 is not canceled/created 161/300"),
+        (set_fields(created=3, served=2, canceled=1, cancel_rate=0.333333334),
+         "line 3: cancel_rate 0.333333334 is not canceled/created 1/3"),
+        (set_fields(created=0, served=0, canceled=0, cancel_rate=0.5, avg_delay_min=0,
+                    total_service_min=0),
+         "line 3: cancel_rate 0.5 is not canceled/created 0/0"),
+        # a day that served no call has no delay and no service time
+        (set_fields(served=0, avg_delay_min=3.5),
+         "line 3: avg_delay_min 3.5 on a day that served no call"),
+        (set_fields(served=0, avg_delay_min=0, total_service_min=12.5),
+         "line 3: total_service_min 12.5 on a day that served no call"),
     ],
     ids=["short_row", "non_numeric", "negative_canceled", "negative_created",
          "served_above_created", "served_plus_canceled_above_created", "nan_delay",
-         "negative_delay", "inf_cancel_rate", "inf_service", "all_at_once"],
+         "negative_delay", "inf_cancel_rate", "inf_service", "all_at_once",
+         "cancel_rate_not_canceled_over_created", "cancel_rate_off_in_the_ninth_digit",
+         "cancel_rate_on_a_day_without_calls", "delay_without_a_served_call",
+         "service_without_a_served_call"],
 )
 def test_report_of_a_bad_row_names_the_line_and_exits_2(per_day_csv, capsys, mangle, message):
     lines = per_day_csv.read_text().splitlines()
@@ -356,10 +372,38 @@ def test_report_of_a_bad_row_names_the_line_and_exits_2(per_day_csv, capsys, man
 
 def test_report_accepts_a_day_with_every_call_served_or_canceled(per_day_csv, capsys):
     lines = per_day_csv.read_text().splitlines()
-    lines[2] = set_fields(created=10, served=4, canceled=6, avg_delay_min=0,
+    lines[2] = set_fields(created=10, served=4, canceled=6, avg_delay_min=0, cancel_rate=0.6,
                           total_service_min=0)(lines[2])
     per_day_csv.write_text("\n".join(lines) + "\n")
     assert main(["report", str(per_day_csv), "--format", "csv"]) == 0
+
+
+def test_report_of_a_repeated_day_names_both_lines_and_exits_2(per_day_csv, capsys):
+    # before, the day was counted twice and the report's n and CI said so
+    lines = per_day_csv.read_text().splitlines()
+    per_day_csv.write_text("\n".join(lines + [lines[1]]) + "\n")
+    assert main(["report", str(per_day_csv)]) == 2
+    date, policy, scenario = lines[1].split(",")[:3]
+    assert (f"line {len(lines) + 1}: day {date} of policy {policy} in scenario {scenario} "
+            f"repeats line 2") in capsys.readouterr().err
+
+
+def test_report_rebuilds_report_csv_byte_for_byte(tmp_path, capsys):
+    # before, `report` averaged a rebuilt `DayMetrics` while `evaluate`
+    # averaged full-precision ones, and 8 of these 12 rows differed
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("seed=2\ndaily_calls=60\neval_days=4\nscenarios=easy,hard\npolicies=fifo,nn\n")
+    out_dir = tmp_path / "ev"
+    assert main(["evaluate", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+    per_day_csv, written = out_dir / "per_day.csv", (out_dir / "report.csv").read_bytes()
+    assert len(written.splitlines()) == 1 + 2 * 2 * 3
+    target = tmp_path / "again.csv"
+    argv = ["report", str(per_day_csv), "--format", "csv"]
+    assert main(argv + ["--output", str(target)]) == 0
+    assert target.read_bytes() == written
+    capsys.readouterr()
+    assert main(argv) == 0  # stdout gets the same lines
+    assert capsys.readouterr().out.encode() == written
 
 
 def test_report_skips_blank_lines(per_day_csv, capsys):

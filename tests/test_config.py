@@ -95,6 +95,22 @@ def test_empty_policy_or_scenario_list_is_rejected(line):
         parse_lines([line])
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("policies=nn,nn", "policy 'nn' is listed twice in key 'policies'"),
+        ("policies=nn, fifo ,nn ", "policy 'nn' is listed twice in key 'policies'"),
+        ("scenarios=easy,hard,easy", "scenario 'easy' is listed twice in key 'scenarios'"),
+    ],
+)
+def test_a_name_listed_twice_is_rejected(line, message):
+    # before, `policies=nn,nn` with `scenarios=easy,easy` ran each day four
+    # times and the report counted every copy
+    with pytest.raises(ConfigError, match=message):
+        parse_lines([line])
+    assert parse_lines(["policies=nn,,fifo", "scenarios=easy,"]).policy_list == ["nn", "fifo"]
+
+
 def test_degenerate_box_rejected():
     with pytest.raises(ConfigError, match="bounding box"):
         parse_lines(["box_x_min=1.0", "box_x_max=1.0"])

@@ -353,7 +353,7 @@ def test_call_pool_matches_a_dict(seed):
         assert list(pool) == list(pool.ids) == sorted(ref)
         assert [c.id for c in pool.values()] == sorted(ref)
         assert all(cid in pool for cid in ref) and next_id + 1 not in pool
-        np.testing.assert_array_equal(pool.columns, np.reshape(_pool_columns(ref), (-1, 5)).T)
+        np.testing.assert_array_equal(pool.columns(), np.reshape(_pool_columns(ref), (-1, 5)).T)
         v = env.fleet[0]
         v.location = Coordinate(grid(), grid())
         snapshot = [(c.id, c.origin.x, c.origin.y) for c in ref.values()]
@@ -376,7 +376,7 @@ def test_assigning_a_dict_to_the_pool_converts_it():
     env.pool = calls
     assert isinstance(env.pool, CallPool)
     assert list(env.pool) == list(env.pool.ids) == [3, 7, 9]
-    np.testing.assert_array_equal(env.pool.columns, np.array(_pool_columns(calls)).T)
+    np.testing.assert_array_equal(env.pool.columns(), np.array(_pool_columns(calls)).T)
     assert NearestPolicy().choose_call(env, env.fleet[0]) == 9
     pool = CallPool(env.calls)
     env.pool = pool
@@ -391,5 +391,5 @@ def test_the_pool_reads_the_call_table():
     env = _env([vehicle(0, 0.0, 0.0)], [call(i, float(i), 0.5 + 0.125 * i, 0.0) for i in range(3)])
     assert NearestPolicy().choose_call(env, env.fleet[0]) == 0
     env.calls.origin_x[2] = 0.25
-    assert env.pool.columns[0].tolist() == [0.5, 0.625, 0.25]
+    assert env.pool.columns()[0].tolist() == [0.5, 0.625, 0.25]
     assert NearestPolicy().choose_call(env, env.fleet[0]) == 2
