@@ -359,9 +359,6 @@ def run_day(
     push = env.queue.push
     for cid, t in enumerate(env.calls.created_at):
         push(t, ev.NEW_CALL, cid)
-    new_call_policy.on_day_start(env)
-    if free_vehicle_policy is not new_call_policy:
-        free_vehicle_policy.on_day_start(env)
     metrics = env.run()
     new_call_policy.on_day_end(env)
     if free_vehicle_policy is not new_call_policy:

@@ -7,7 +7,6 @@ import math
 from array import array
 from bisect import bisect_left, insort
 from typing import List, Optional, Sequence
-from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -26,11 +25,14 @@ class CallStatus(enum.Enum):
     __hash__ = object.__hash__
 
 
-# The only admissible status edges.  Trajectories are audited against this
-# graph in debug runs and in tests.
+# The only admissible status edges.  A call waits, is assigned once a
+# proposal is accepted (a refused one leaves it waiting), is picked up and
+# completes, or is canceled while it waits.  So the graph is a tree rooted
+# at WAITING, and the statuses a call has taken are the path to its current
+# one.  `CallTable.set_status` refuses every other edge.
 ALLOWED_TRANSITIONS = {
     CallStatus.WAITING: {CallStatus.ASSIGNED, CallStatus.CANCELED},
-    CallStatus.ASSIGNED: {CallStatus.PICKED_UP, CallStatus.WAITING},
+    CallStatus.ASSIGNED: {CallStatus.PICKED_UP},
     CallStatus.PICKED_UP: {CallStatus.COMPLETED},
     CallStatus.COMPLETED: set(),
     CallStatus.CANCELED: set(),
@@ -44,6 +46,18 @@ WAITING, ASSIGNED, PICKED_UP, COMPLETED, CANCELED = range(len(STATUSES))
 STATUS_CODES = {status: code for code, status in enumerate(STATUSES)}
 EDGES = np.array([[b in ALLOWED_TRANSITIONS[a] for b in STATUSES] for a in STATUSES], np.int8)
 _EDGE = EDGES.tobytes()  # flat and row-major; indexing it gives Python ints
+
+
+def _path(status: CallStatus) -> tuple:
+    """The statuses from WAITING to `status` in the transition tree."""
+    for parent, targets in ALLOWED_TRANSITIONS.items():
+        if status in targets:
+            return _path(parent) + (status,)
+    return (status,)
+
+
+# PATHS[code] is the history of a call whose status has code `code`.
+PATHS = tuple(map(_path, STATUSES))
 
 # The float columns of a `CallTable`, in row order; the first five are what
 # `CallPool.columns` gathers by default.
@@ -64,20 +78,8 @@ class CallTable:
     about half of numpy indexing and gives Python values.  `status` (int8
     codes of `STATUSES`) and `assigned_vehicle` (a C int, -1 for none) are
     memoryviews too; `np.asarray` gives the array under any of them.  Row r
-    is call `first_id + r`.  Every status a row takes is appended to one log,
-    the `log_rows` (C int) and `log_codes` arrays; a row's history is its log
-    entries.
-
-    `history(row)` builds a row's statuses from the log when it is read.  The
-    list is kept only while a caller holds it: until then every read of the
-    row returns that one list, edits included, with the statuses logged
-    since its last read appended; once no one holds it, the next read builds
-    it from the log again.  Reads go through an index of the log, made at
-    the first read and again whenever the entries logged since outnumber
-    those it covers: the codes in row order (one int8 a log entry, a stable
-    sort by row) and each row's first place in them (one int32 a row, a
-    cumulative `bincount`).  The entries logged after the index are scanned
-    for the row.
+    is call `first_id + r`.  A row's status history is `PATHS` of its
+    status, so `history(row)` keeps nothing per row.
     """
 
     def __init__(self, n: int, first_id: int = 0):
@@ -88,12 +90,6 @@ class CallTable:
          self.assigned_at, self.pickup_time, self.completion_time, self.canceled_at) = self.columns
         self.status = memoryview(np.zeros(n, dtype=np.int8))  # all waiting
         self.assigned_vehicle = memoryview(np.full(n, -1, dtype=np.intc))
-        self.log_rows = array("i", np.arange(n, dtype=np.intc).tobytes())
-        self.log_codes = array("b", bytes(n))
-        self._kept: Optional[WeakValueDictionary] = None  # row -> held history; made by `history`
-        self._starts: Optional[memoryview] = None  # the index; made by `_index`
-        self._by_row: Optional[memoryview] = None
-        self._indexed = 0  # log entries the index covers
 
     @classmethod
     def adopt(cls, calls: Sequence["Call"]) -> "CallTable":
@@ -103,14 +99,10 @@ class CallTable:
         """
         _check_ids(calls, "calls", "call")
         table = cls(len(calls))
-        del table.log_rows[:], table.log_codes[:]
         for i, c in enumerate(calls):
             table.floats[:, i] = c.table.floats[:, c.row]
             table.status[i] = c.table.status[c.row]
             table.assigned_vehicle[i] = c.table.assigned_vehicle[c.row]
-            for status in c.table.history(c.row):  # the held list while the call holds it
-                table.log_rows.append(i)
-                table.log_codes.append(STATUS_CODES[status])
         for i, c in enumerate(calls):
             c.table, c.row = table, i
         return table
@@ -139,48 +131,10 @@ class CallTable:
                 f"{STATUSES[old].value} -> {STATUSES[code].value}"
             )
         self.status[row] = code
-        self.log_rows.append(row)
-        self.log_codes.append(code)
 
     def history(self, row: int) -> list:
-        """Row `row`'s statuses in order; the held list while someone holds it."""
-        if self._kept is None:
-            self._kept = WeakValueDictionary()
-        kept = self._kept.get(row)
-        if kept is None:
-            kept = self._kept[row] = _History()
-            kept.seen = 0
-        codes = self._logged(row, kept.seen)  # what the log holds beyond the list
-        kept.extend(map(STATUSES.__getitem__, codes))
-        kept.seen += len(codes)
-        return kept
-
-    def _logged(self, row: int, skip: int):
-        """The codes of row `row`'s log entries after its first `skip`."""
-        end = len(self.log_rows)
-        if self._starts is None or end - self._indexed > self._indexed:
-            self._index()
-        codes = self._by_row[self._starts[row] : self._starts[row + 1]]
-        if self._indexed < end:
-            tail = slice(self._indexed, end)
-            mine = np.frombuffer(self.log_rows, np.intc)[tail] == row
-            codes = codes.tobytes() + np.frombuffer(self.log_codes, np.int8)[tail][mine].tobytes()
-        return codes[skip:]
-
-    def _index(self) -> None:
-        """Index the whole log: its codes ordered by row, and where each row's begin."""
-        rows = np.frombuffer(self.log_rows, np.intc)
-        starts = np.zeros(len(self.status) + 1, np.int32)
-        np.cumsum(np.bincount(rows, minlength=len(self.status)), out=starts[1:])
-        by_row = np.frombuffer(self.log_codes, np.int8)[np.argsort(rows, kind="stable")]
-        self._starts, self._by_row = memoryview(starts), memoryview(by_row)
-        self._indexed = len(rows)
-
-
-class _History(list):
-    """A row's statuses as `CallTable.history` returned them; `seen` counts its log entries."""
-
-    __slots__ = ("__weakref__", "seen")
+        """Row `row`'s statuses in order: a fresh list of its status's path."""
+        return list(PATHS[self.status[row]])
 
 
 def _column(col: int, optional: bool = False) -> property:
@@ -222,10 +176,11 @@ class Call:
 
     A view onto row `row` of the `CallTable` `table`.  A call made on its own
     owns a one-row table until a day adopts it; `CallTable.view` makes calls
-    over an existing table instead.  `status_history` is the row's
-    statuses as `CallTable.history` returns them; the call keeps the last
-    list it returned, so an edit made through the call lasts as long as the
-    call does.
+    over an existing table instead.  `status_history` is the path of the
+    row's status (`PATHS`).  The call keeps the list it returned, with how
+    much of the path that list has taken, and a later read appends the
+    path's new statuses to it; so an edit made through the call lasts as
+    long as the call does, while another view of the row reads the path.
     """
 
     __slots__ = ("id", "table", "row", "_history")
@@ -254,7 +209,6 @@ class Call:
             assigned_vehicle, assigned_at, pickup_time)
         self.completion_time, self.canceled_at = completion_time, canceled_at
         self.status = status
-        self.table.log_codes[0] = STATUS_CODES[status]
 
     @property
     def status(self) -> CallStatus:
@@ -275,8 +229,14 @@ class Call:
 
     @property
     def status_history(self) -> list:
-        self._history = self.table.history(self.row)
-        return self._history
+        path = PATHS[self.table.status[self.row]]
+        try:
+            history, taken = self._history
+        except AttributeError:  # the first read through this call
+            history, taken = [], 0
+        history += path[taken:]
+        self._history = history, len(path)
+        return history
 
     def set_status(self, new: CallStatus) -> None:
         self.table.set_status(self.row, STATUS_CODES[new])

@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .agent import DQNAgent, DQNPolicy
-from .config import ExperimentConfig, Scenario
+from .config import VALID_POLICIES, ExperimentConfig, Scenario
 from .demand import (
     DemandError,
     DemandSource,
@@ -283,8 +283,14 @@ def run_evaluation(
 
     Demand/fleet streams are keyed by (seed, day) only, so every policy sees
     the identical day; evaluation streams are disjoint from training streams.
+    Each policy is named once: a repeated one's days would be counted twice.
     """
     policy_names = policy_names or cfg.policy_list
+    for i, name in enumerate(policy_names):
+        if name not in VALID_POLICIES:
+            raise ValueError(f"unknown policy {name!r}")
+        if name in policy_names[:i]:
+            raise ValueError(f"policy {name!r} is listed twice")
     if "dqn" in policy_names and dqn_policy is None:
         if checkpoint_dir is None:
             raise ValueError("dqn evaluation requires trained agents or a checkpoint_dir")

@@ -24,8 +24,8 @@ from .kernels import nearest_index, nearest_index_masked
 class DispatchPolicy:
     """Decision-maker for both epoch kinds.  Subclasses override the choices.
 
-    The engine notifies policies about proposal outcomes and day boundaries;
-    heuristics ignore those hooks, the learning policy uses them.
+    The engine notifies policies about proposal outcomes and the end of a
+    day; heuristics ignore those hooks, the learning policy uses them.
     """
 
     name = "abstract"
@@ -37,9 +37,6 @@ class DispatchPolicy:
         raise NotImplementedError
 
     def on_proposal_outcome(self, env, epoch_kind, outcome, eta, drive) -> None:
-        pass
-
-    def on_day_start(self, env) -> None:
         pass
 
     def on_day_end(self, env) -> None:

@@ -360,10 +360,11 @@ def test_built_table_and_standalone_calls_run_the_same_day(policy_cls):
 def test_history_edit_after_a_day_is_seen_by_the_next_read():
     calls = [call(0, 0.0, 0.1, 0.0, 0.2, 0.0, wait=100.0), call(1, 1.0, 0.5, 0.5, 0.6, 0.6, wait=1.0)]
     simulate([vehicle(0, 0.0, 0.0)], calls, policy=FixedVehiclePolicy(0))
-    assert calls[0].status_history[-1] is CallStatus.COMPLETED
-    calls[0].status_history.insert(1, CallStatus.COMPLETED)
-    assert calls[0].status_history[1] is CallStatus.COMPLETED
-    assert calls[0].table.history(0)[1] is CallStatus.COMPLETED
+    held = calls[0]
+    history = held.status_history
+    assert history[-1] is CallStatus.COMPLETED
+    history.insert(1, CallStatus.COMPLETED)
+    assert held.status_history is history and history[1] is CallStatus.COMPLETED
 
 
 class PoolThief(NearestPolicy):
@@ -420,16 +421,13 @@ def test_zero_vehicle_day_cancels_every_call_at_its_deadline():
     assert all(c.canceled_at == c.created_at + c.max_wait for c in calls)
 
 
-class QueueAtDayStart(NearestPolicy):
-    def on_day_start(self, env):
-        self.armed = len(env.queue)
-
-
-def test_only_new_calls_are_armed_before_the_day_starts():
+def test_only_new_calls_are_armed_before_the_day_starts(monkeypatch):
+    armed = []  # the queue's length when the day starts to run
+    run = Environment.run
+    monkeypatch.setattr(Environment, "run", lambda env: armed.append(len(env.queue)) or run(env))
     calls = [call(i, float(i), 0.1, 0.1, 0.9, 0.9, wait=5.0) for i in range(30)]
-    policy = QueueAtDayStart()
-    m = simulate([vehicle(0, 0.5, 0.5)], calls, policy=policy)
-    assert policy.armed == 30 == m.calls_created
+    m = simulate([vehicle(0, 0.5, 0.5)], calls)
+    assert armed == [30] and m.calls_created == 30
 
 
 class IdleThief(NearestPolicy):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from dispatchsim.entities import (
     ALLOWED_TRANSITIONS,
     ASSIGNED,
     CANCELED,
+    COMPLETED,
     EDGES,
+    PATHS,
+    PICKED_UP,
     STATUSES,
-    WAITING,
     Call,
     CallPool,
     CallStatus,
@@ -52,7 +55,6 @@ def test_call_cancel_and_rejection_edges():
     c.set_status(CallStatus.CANCELED)
     c2 = make_call(id=1)
     c2.set_status(CallStatus.ASSIGNED)
-    c2.set_status(CallStatus.WAITING)  # rejection re-queue
 
 
 @pytest.mark.parametrize(
@@ -63,6 +65,7 @@ def test_call_cancel_and_rejection_edges():
         (CallStatus.COMPLETED, CallStatus.WAITING),
         (CallStatus.CANCELED, CallStatus.ASSIGNED),
         (CallStatus.PICKED_UP, CallStatus.WAITING),
+        (CallStatus.ASSIGNED, CallStatus.WAITING),  # a refused proposal never assigns
     ],
 )
 def test_call_rejects_illegal_edges(src, dst):
@@ -72,11 +75,21 @@ def test_call_rejects_illegal_edges(src, dst):
         c.set_status(dst)
 
 
-def test_transition_graph_has_no_extra_edges():
-    edge_count = sum(len(v) for v in ALLOWED_TRANSITIONS.values())
-    assert edge_count == 5  # W->A, W->C, A->P, A->W, P->C
-    assert not ALLOWED_TRANSITIONS[CallStatus.COMPLETED]
-    assert not ALLOWED_TRANSITIONS[CallStatus.CANCELED]
+def test_transition_graph_is_a_tree_rooted_at_waiting_and_paths_are_its_paths():
+    edges = [(a, b) for a, targets in ALLOWED_TRANSITIONS.items() for b in targets]
+    assert len(edges) == 4  # W->A, W->C, A->P, P->C
+    parent = dict((b, a) for a, b in edges)
+    # one parent a status, none for the root
+    assert len(parent) == 4 and CallStatus.WAITING not in parent
+    for code, status in enumerate(STATUSES):
+        path = (status,)
+        for _ in STATUSES:  # bounded, so that a cycle fails instead of looping
+            if path[0] in parent:
+                path = (parent[path[0]],) + path
+        assert path[0] is CallStatus.WAITING
+        assert PATHS[code] == path
+    assert PATHS[COMPLETED] == (CallStatus.WAITING, CallStatus.ASSIGNED, CallStatus.PICKED_UP,
+                                CallStatus.COMPLETED)
 
 
 def test_illegal_transition_message_names_the_call_and_the_edge():
@@ -126,19 +139,13 @@ def _call_facts(c):
             list(c.status_history))
 
 
-@pytest.mark.parametrize("fault", ["wrong id", "history edit"])
-def test_a_refused_call_adoption_leaves_every_call_on_its_table(fault):
+def test_a_refused_call_adoption_leaves_every_call_on_its_table():
     calls = [make_call(id=i, created_at=float(i)) for i in range(3)]
     calls[1].set_status(CallStatus.ASSIGNED)
     calls[1].assigned_vehicle = 5
-    if fault == "wrong id":
-        calls.append(make_call(id=5))
-        refusal = pytest.raises(ValueError, match=r"calls\[3\] has id 5")
-    else:  # a history holding a non-status has no status code
-        calls[2].status_history.append("edited")
-        refusal = pytest.raises(KeyError)
+    calls.append(make_call(id=5))
     before = list(map(_call_facts, calls))
-    with refusal:
+    with pytest.raises(ValueError, match=r"calls\[3\] has id 5"):
         CallTable.adopt(calls)
     assert list(map(_call_facts, calls)) == before
 
@@ -158,135 +165,94 @@ def test_a_refused_fleet_adoption_leaves_every_vehicle_on_its_store():
 
 def test_history_edits_persist_and_later_statuses_append():
     table = CallTable(2)
-    history = table[0].status_history
+    held = table[0]
+    history = held.status_history
     history.append("edited")
     table.set_status(0, CANCELED)
-    assert table[0].status_history is history
+    assert held.status_history is history
     assert history == [CallStatus.WAITING, "edited", CallStatus.CANCELED]
     assert table[1].status_history == [CallStatus.WAITING]
 
 
-def _logged(table, row):
-    """Row `row`'s statuses by a plain filter of the log."""
-    return [STATUSES[code] for r, code in zip(table.log_rows, table.log_codes) if r == row]
+def test_a_call_made_with_a_status_reports_its_path():
+    c = make_call(status=CallStatus.PICKED_UP)
+    assert c.status_history == [CallStatus.WAITING, CallStatus.ASSIGNED, CallStatus.PICKED_UP]
+    c.set_status(CallStatus.COMPLETED)
+    assert c.status_history[-1] is CallStatus.COMPLETED
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_history_reads_are_the_log_plus_the_held_lists_edits(data):
-    rows = 3
+def test_fresh_reads_are_the_path_and_held_reads_keep_their_edits(data):
+    rows = 2
     table = CallTable(rows)
-    holders = []  # calls kept alive between steps; each holds the last list it read
-    held = {}  # row -> [the list its holders share, what it should hold, log length at its last read]
+    # [call, the list its reads return, what that list should hold, path statuses it took]
+    held = []
 
-    def read(c):
-        """`c.status_history`, checked against the log and the held list's own edits."""
-        got = c.status_history
-        entry = held.get(c.row)
-        if entry is None:
-            assert got == _logged(table, c.row)
-            if any(h is c for h in holders):
-                held[c.row] = [got, list(got), len(table.log_rows)]
-        else:
-            assert got is entry[0]
-            lo, entry[2] = entry[2], len(table.log_rows)
-            entry[1] += [STATUSES[code] for r, code in zip(table.log_rows[lo:], table.log_codes[lo:])
-                         if r == c.row]
-            assert got == entry[1]
-        return got
+    def read(entry):
+        c, got, want, taken = entry
+        path = PATHS[c.table.status[c.row]]
+        want += path[taken:]  # the path's later statuses
+        entry[3] = len(path)
+        assert c.status_history is got and got == want
 
-    for _ in range(data.draw(st.integers(0, 40))):
-        op = data.draw(st.sampled_from(["status", "fresh", "hold", "held", "edit", "drop", "adopt"]))
+    for _ in range(data.draw(st.integers(0, 20))):
+        op = data.draw(st.sampled_from(["status", "fresh", "hold", "held", "edit", "adopt"]))
         row = data.draw(st.integers(0, rows - 1))
-        mine = [h for h in holders if h.row == row]
-        # an index, not the call: Hypothesis keeps what it draws alive
-        pick = data.draw(st.integers(0, max(len(mine) - 1, 0)))
+        # an index, not a call: Hypothesis keeps what it draws alive
+        pick = data.draw(st.integers(0, max(len(held) - 1, 0)))
         if op == "status":
-            now = STATUSES[table.status[row]]
-            if ALLOWED_TRANSITIONS[now]:
-                new = data.draw(st.sampled_from(sorted(ALLOWED_TRANSITIONS[now], key=STATUSES.index)))
-                table.set_status(row, STATUSES.index(new))
+            targets = sorted(ALLOWED_TRANSITIONS[STATUSES[table.status[row]]], key=STATUSES.index)
+            if targets:
+                table.set_status(row, STATUSES.index(data.draw(st.sampled_from(targets))))
         elif op == "fresh":
-            read(table[row])
+            assert table[row].status_history == table.history(row) == list(PATHS[table.status[row]])
         elif op == "hold":
-            holders.append(table[row])
-            read(holders[-1])
-        elif op == "held" and mine:
-            read(mine[pick])
-        elif op == "edit" and mine:
-            got = read(mine[pick])
+            c = table[row]
+            held.append([c, c.status_history, [], 0])
+            read(held[-1])
+        elif op == "held" and held:
+            read(held[pick])
+        elif op == "edit" and held:
+            entry = held[pick]
+            read(entry)
             status = data.draw(st.sampled_from(STATUSES))
-            where = data.draw(st.integers(0, len(got)))
-            kind = data.draw(st.sampled_from(["insert", "append", "delete"]))
-            for edited in (got, held[row][1]):
-                if kind == "insert":
-                    edited.insert(where, status)
-                elif kind == "append":
-                    edited.append(status)
-                elif edited:
+            where = data.draw(st.integers(0, len(entry[1])))
+            delete = data.draw(st.booleans()) and len(entry[1]) > 0
+            for edited in entry[1:3]:
+                if delete:
                     del edited[where % len(edited)]
-            del got
-        elif op == "drop" and mine:
-            holders.remove(mine[pick])
-            del mine
-            if not any(h._history is held.get(row, [None])[0] for h in holders):
-                held.pop(row, None)  # no one holds it: the next read builds it from the log
+                else:
+                    edited.insert(where, status)
         elif op == "adopt":
-            # one call per row, with the edits its holders made; the others let go
-            calls = [next((h for h in holders if h.row == r), None) or table[r] for r in range(rows)]
-            holders = [c for c in calls if any(h is c for h in holders)]
-            histories = [list(read(c)) for c in calls]
+            # one call per row, a held one where there is one; the other held calls let go
+            calls = [next((e[0] for e in held if e[0].row == r), None) or table[r]
+                     for r in range(rows)]
+            held = [e for e in held if any(e[0] is c for c in calls)]
             table = CallTable.adopt(calls)
-            held.clear()
-            assert list(table.log_rows) == [r for r, h in enumerate(histories) for _ in h]
-            assert [STATUSES[code] for code in table.log_codes] == [s for h in histories for s in h]
-            assert [read(c) for c in calls] == histories
             del calls
+    for entry in held:
+        read(entry)
     for row in range(rows):
-        read(table[row])
+        assert table[row].status_history == list(PATHS[table.status[row]])
 
 
-def test_reads_between_statuses_index_the_log_again_only_when_its_tail_outgrows_the_index(monkeypatch):
-    rows = 1000
-    table = CallTable(rows)
-    built = []
-    index = CallTable._index
-    monkeypatch.setattr(CallTable, "_index", lambda t: built.append(len(t.log_rows)) or index(t))
-    for n, code in enumerate((ASSIGNED, WAITING, ASSIGNED), start=2):
-        for row in range(rows):
-            table.set_status(row, code)
-            assert len(table[row].status_history) == n
-            assert 2 * table._indexed >= len(table.log_rows)  # the scanned tail is at most the indexed part
-    assert built == [1001, 2003]
-
-
-def test_reading_every_history_keeps_only_the_index():
-    import tracemalloc
-
+def test_statuses_and_history_reads_keep_nothing_per_row():
     rows = 20_000
     table = CallTable(rows)
-    for code in (STATUSES.index(CallStatus.ASSIGNED), STATUSES.index(CallStatus.WAITING)):
-        for row in range(rows):
-            table.set_status(row, code)
     tracemalloc.start()
     try:
-        # what keeping one list per row held: the lists a read now builds and drops
-        lists = [[] for _ in range(rows)]
-        for row, code in zip(table.log_rows, table.log_codes):
-            lists[row].append(STATUSES[code])
-        kept_lists, _ = tracemalloc.get_traced_memory()
-        del lists
-        tracemalloc.reset_peak()
         base, _ = tracemalloc.get_traced_memory()
+        for code in (ASSIGNED, PICKED_UP, COMPLETED):
+            for row in range(rows):
+                table.set_status(row, code)
         for c in table:
-            assert len(c.status_history) == 3
+            assert len(c.status_history) == 4
         del c
-        kept, peak = tracemalloc.get_traced_memory()
+        kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert kept - base <= 500_000  # the index: one byte a log entry, four a row
-    assert peak - base < kept_lists
-    assert kept_lists > 1_500_000
+    assert kept - base < rows  # less than a byte a row
 
 
 def test_call_requires_positive_tolerance():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from dispatchsim import harness
 from dispatchsim.config import parse_lines
 from dispatchsim.engine import DayMetrics
 from dispatchsim.harness import (
@@ -202,6 +203,23 @@ def test_missing_checkpoint_errors(tmp_path):
         load_dqn_policy(cfg, str(tmp_path))
     with pytest.raises(ValueError, match="checkpoint"):
         run_evaluation(cfg)
+
+
+@pytest.mark.parametrize(
+    "names, refusal",
+    [
+        (["nn", "nn"], r"^policy 'nn' is listed twice$"),
+        (["fifo", "greedy"], r"^unknown policy 'greedy'$"),
+    ],
+    ids=["repeated", "unknown"],
+)
+def test_evaluation_refuses_a_repeated_or_unknown_policy_before_any_day(names, refusal, tmp_path,
+                                                                        monkeypatch):
+    days = []
+    monkeypatch.setattr(harness, "simulate_day", lambda *args: days.append(args) or DayMetrics())
+    with pytest.raises(ValueError, match=refusal):
+        run_evaluation(small_cfg(), policy_names=names, out_dir=str(tmp_path))
+    assert days == [] and list(tmp_path.iterdir()) == []
 
 
 def test_records_mode_requires_path():
