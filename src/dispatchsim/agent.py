@@ -6,17 +6,18 @@ and the target network evaluates it.  Discounting is continuous-time:
 a transition observed after sojourn tau is discounted by gamma**tau
 (equivalently e**(-beta*tau) with beta = -ln(gamma)).
 
-Each agent's replay buffer keeps one column per transition field, and a
-push takes the arrays the agent holds.  A slot's next candidates keep the
-columns that differ between rows (`features.VARYING_COLUMNS` of its epoch
-kind) once per row, as its own float32 bytes, and the columns all rows
-share once per slot, read from row 0: `features` writes those columns as
-one broadcast, and the buffer relies on that without checking it.
+Each agent's replay buffer keeps one byte string per transition, and a
+push takes the arrays the agent holds.  A record keeps its next
+candidates' columns that differ between rows (`features.VARYING_COLUMNS`
+of its epoch kind) once per row, and the columns all rows share once,
+read from row 0: `features` writes those columns as one broadcast, and
+the buffer relies on that without checking it.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from array import array
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -29,6 +30,7 @@ from .policies import DispatchPolicy
 from .qnet import QNetwork, save_checkpoint
 
 MIN_SOJOURN = 1e-9  # same-timestamp epochs still need a positive sojourn
+HEAD = struct.Struct("=dd")  # a replay record's reward and sojourn
 
 
 @dataclass(frozen=True)
@@ -83,17 +85,16 @@ def discounted_reward(reward: float, gamma: float, tau: float) -> float:
 
 
 class ReplayBuffer:
-    """Oldest-first eviction at `capacity` and uniform sampling, kept as columns.
+    """Oldest-first eviction at `capacity` and uniform sampling, one record a slot.
 
     The layout is fixed at construction.  Rows are `width` floats, and a
     transition's next-candidate rows differ only in the columns lo:hi of the
-    slice `varying` (all by default) and share the others, s floats a row.
-    Slot k holds its chosen row and its shared values (zeros if terminal) at
-    k * `width` and k * s of the flat float32 arrays `state_action` and
-    `shared`, `next_rows[k]`, the float32 bytes of its candidates' varying
-    columns (`b""` exactly when terminal), and `reward[k]` and `sojourn[k]`.
-    The columns grow by appends up to `capacity` slots; then the oldest slot
-    is overwritten.
+    slice `varying` (all by default) and share the others.  `records[k]` is
+    the bytes of slot k: its reward and sojourn as float64, then, as
+    float32, its chosen row, its shared values (zeros if terminal) and the
+    varying columns of its candidates, row after row (none exactly when
+    terminal).  The list grows by appends up to `capacity` slots; then the
+    oldest record is replaced.
     """
 
     def __init__(self, capacity: int, width: int, varying: slice = slice(None)):
@@ -103,16 +104,14 @@ class ReplayBuffer:
         if not 0 <= lo < hi <= width:
             raise ValueError(f"rows of {width} floats with columns {lo}:{hi} varying")
         self.capacity, self.width, self.lo, self.hi = capacity, width, lo, hi
+        self.shared_at = HEAD.size + 4 * width  # byte offsets in a record
+        self.rows_at = self.shared_at + 4 * (width - hi + lo)
         self._next = 0  # the slot the next push writes
-        self.state_action = array("f")
-        self.shared = array("f")
-        self.next_rows: List[bytes] = []
-        self.reward = array("d")
-        self.sojourn = array("d")
+        self.records: List[bytes] = []
 
     @property
     def size(self) -> int:
-        return len(self.reward)
+        return len(self.records)
 
     def push(self, state_action: np.ndarray, reward: float, sojourn: float,
              next_candidates: Optional[np.ndarray]) -> None:
@@ -122,49 +121,33 @@ class ReplayBuffer:
         into every row as one broadcast, so the other rows hold the same bits.
         """
         width, lo, hi = self.width, self.lo, self.hi
-        k = width - hi + lo  # shared floats a row
+        head = HEAD.pack(float(reward), float(sojourn))
         state_action = np.asarray(state_action, dtype=np.float32)
         if state_action.shape != (width,):
             raise ValueError(f"state_action of shape {state_action.shape}, buffer holds {width}")
         if next_candidates is None:
-            next_rows, common = b"", bytes(4 * k)
+            tail = [bytes(self.rows_at - self.shared_at)]
         else:
             rows = np.asarray(next_candidates, dtype=np.float32)
             if rows.ndim != 2 or rows.shape[1] != width or not len(rows):
                 raise ValueError(f"next_candidates of shape {rows.shape}, buffer holds "
                                  f"one or more rows of {width}")
             row = rows[0].tobytes()
-            next_rows, common = rows[:, lo:hi].tobytes(), row[: 4 * lo] + row[4 * hi :]
-        state_action = state_action.tobytes()
-        reward, sojourn = float(reward), float(sojourn)
+            tail = [row[: 4 * lo], row[4 * hi :], rows[:, lo:hi].tobytes()]
         slot = self._next
-        if slot == self.size:  # still filling
-            self.state_action.frombytes(state_action)
-            self.shared.frombytes(common)
-            self.next_rows.append(next_rows)
-            self.reward.append(reward)
-            self.sojourn.append(sojourn)
-        else:
-            self.state_action[slot * width : (slot + 1) * width] = array("f", state_action)
-            self.shared[slot * k : (slot + 1) * k] = array("f", common)
-            self.next_rows[slot] = next_rows
-            self.reward[slot] = reward
-            self.sojourn[slot] = sojourn
+        # appends while the buffer fills, then replaces the oldest record
+        self.records[slot : slot + 1] = [b"".join([head, state_action.tobytes(), *tail])]
         self._next = (slot + 1) % self.capacity
 
-    def gather(self, column: array, slots, k: int) -> np.ndarray:
-        """`k` floats per slot of flat `column` at `slots`, copied: a live view blocks appends."""
-        return np.frombuffer(column, np.float32).reshape(self.size, k).take(slots, axis=0)
-
-    def next_candidates(self, slots) -> Tuple[np.ndarray, np.ndarray]:
-        """The candidate rows of live `slots`, slot after slot, and each slot's row count."""
-        lo, hi = self.lo, self.hi
-        blocks = [self.next_rows[s] for s in slots]
-        sizes = np.array([len(b) for b in blocks]) // (4 * (hi - lo))
-        flat = np.frombuffer(b"".join(blocks), np.float32).reshape(-1, hi - lo)
-        common = np.repeat(self.gather(self.shared, slots, self.width - hi + lo), sizes, axis=0)
-        rows = np.empty((len(flat), self.width), np.float32)  # float32 copies: bit-exact
-        rows[:, lo:hi] = flat
+    def next_candidates(self, records) -> Tuple[np.ndarray, np.ndarray]:
+        """The candidate rows of live `records`, record after record, and each one's row count."""
+        lo, hi, shared_at, rows_at = self.lo, self.hi, self.shared_at, self.rows_at
+        sizes = np.array([len(r) - rows_at for r in records]) // (4 * (hi - lo))
+        flat = np.frombuffer(b"".join([r[rows_at:] for r in records]), np.float32)
+        common = np.frombuffer(b"".join([r[shared_at:rows_at] for r in records]), np.float32)
+        common = np.repeat(common.reshape(len(records), -1), sizes, axis=0)
+        rows = np.empty((len(common), self.width), np.float32)  # float32 copies: bit-exact
+        rows[:, lo:hi] = flat.reshape(len(rows), hi - lo)
         rows[:, :lo], rows[:, hi:] = common[:, :lo], common[:, lo:]
         return rows, sizes
 
@@ -272,13 +255,15 @@ class DQNAgent:
         if buf.size < self.cfg.learning_starts:
             return None
         draw = self.explore_rng.integers(0, buf.size, size=self.cfg.batch_size)
-        x, slots = buf.gather(buf.state_action, draw, buf.width), draw.tolist()
-        reward, next_rows = buf.reward, buf.next_rows
-        y = np.array([reward[s] for s in slots], dtype=np.float32)
-        live = [i for i, s in enumerate(slots) if next_rows[s]]
+        batch = [buf.records[s] for s in draw.tolist()]
+        chosen = b"".join([r[HEAD.size : buf.shared_at] for r in batch])
+        x = np.frombuffer(chosen, np.float32).reshape(len(batch), buf.width)
+        # Python floats: numpy's array ** differs from the scalar pow in the last bit
+        heads = [HEAD.unpack_from(r) for r in batch]
+        y = np.array([reward for reward, _ in heads], dtype=np.float32)
+        live = [i for i, r in enumerate(batch) if len(r) > buf.rows_at]
         if live:
-            live_slots = [slots[i] for i in live]
-            rows, sizes = buf.next_candidates(live_slots)
+            rows, sizes = buf.next_candidates([batch[i] for i in live])
             starts = np.cumsum(sizes) - sizes
             q_online = self.online.forward(rows)
             seg_max = np.repeat(np.maximum.reduceat(q_online, starts), sizes)
@@ -288,10 +273,10 @@ class DQNAgent:
                 np.where(q_online == seg_max, np.arange(n), n), starts
             )
             q_eval = self.target.forward(rows[best])
-            # Python floats: numpy's array ** differs from the scalar pow in the last bit
-            gamma, sojourn = self.cfg.gamma, buf.sojourn
-            for i, s, q in zip(live, live_slots, q_eval.tolist()):
-                y[i] = reward[s] + gamma ** sojourn[s] * q
+            gamma = self.cfg.gamma
+            for i, q in zip(live, q_eval.tolist()):
+                reward, sojourn = heads[i]
+                y[i] = reward + gamma ** sojourn * q
         loss = self.online.train_batch(x, y, self.cfg.learning_rate)
         self.loss_history.append(loss)
         self.gradient_steps += 1

@@ -144,29 +144,27 @@ class Environment:
         dx, dy = calls.dest_x[cid], calls.dest_y[cid]
         state = self.fleet_state
         x, y, dest_x, dest_y, free_at, reject_prob = state.columns
-        # the L1 distances below are `manhattan_distance`'s
+        # travel times are L1 distances in box units over the speed
         eta = (abs(x[vid] - ox) + abs(y[vid] - oy)) / self.speed
         drive = (abs(ox - dx) + abs(oy - dy)) / self.speed
         if self.driver_rng.random() < reject_prob[vid]:
-            return ProposalOutcome.DRIVER_REJECTED, eta, drive
-        if self.clock + eta - calls.created_at[cid] > calls.max_wait[cid]:
-            return ProposalOutcome.CUSTOMER_REJECTED, eta, drive
-        # accepted: commit the assignment and schedule the pickup leg
-        self.pool.discard(cid)
-        calls.set_status(cid, ASSIGNED)
-        calls.assigned_vehicle[cid] = vid
-        calls.assigned_at[cid] = self.clock
-        state.set_busy(vid, True)
-        dest_x[vid], dest_y[vid] = dx, dy
-        free_at[vid] = self.clock + eta + drive
-        self.queue.push(self.clock + eta, ev.ARRIVAL_AT_ORIGIN, vid, cid, self.clock)
-        return ProposalOutcome.ACCEPTED, eta, drive
-
-    def _after_rejection(self, vid: int, cid: int) -> None:
+            outcome = ProposalOutcome.DRIVER_REJECTED
+        elif self.clock + eta - calls.created_at[cid] > calls.max_wait[cid]:
+            outcome = ProposalOutcome.CUSTOMER_REJECTED
+        else:  # accepted: commit the assignment and schedule the pickup leg
+            self.pool.discard(cid)
+            calls.set_status(cid, ASSIGNED)
+            calls.assigned_vehicle[cid] = vid
+            calls.assigned_at[cid] = self.clock
+            state.set_busy(vid, True)
+            dest_x[vid], dest_y[vid] = dx, dy
+            free_at[vid] = self.clock + eta + drive
+            self.queue.push(self.clock + eta, ev.ARRIVAL_AT_ORIGIN, vid, cid, self.clock)
+            return ProposalOutcome.ACCEPTED, eta, drive
+        # refused: the call waits in the pool again, and the vehicle retries after a hold
         self.pool.add(cid)
-        self.queue.push(
-            self.clock + REPOSITION_HOLD_MIN, ev.REPOSITION_TIMEOUT, vid, -1, self.clock
-        )
+        self.queue.push(self.clock + REPOSITION_HOLD_MIN, ev.REPOSITION_TIMEOUT, vid, -1, self.clock)
+        return outcome, eta, drive
 
     # -- event handlers ------------------------------------------------------
     # Calls and vehicles are named by id; their state is read and written
@@ -185,8 +183,6 @@ class Environment:
             return
         outcome, eta, drive = self.propose_assignment(vid, cid)
         self.new_call_policy.on_proposal_outcome(self, "new_call", outcome, eta, drive)
-        if outcome is not ProposalOutcome.ACCEPTED:
-            self._after_rejection(vid, cid)
 
     def handle_free_vehicle(self, vid: int) -> None:
         if not (self.fleet_state.idle_flags[vid] and self.pool):
@@ -195,11 +191,7 @@ class Environment:
         if cid is None:
             return
         outcome, eta, drive = self.propose_assignment(vid, cid)
-        self.free_vehicle_policy.on_proposal_outcome(
-            self, "free_vehicle", outcome, eta, drive
-        )
-        if outcome is not ProposalOutcome.ACCEPTED:
-            self._after_rejection(vid, cid)
+        self.free_vehicle_policy.on_proposal_outcome(self, "free_vehicle", outcome, eta, drive)
 
     def fire_cancellation(self, cid: int) -> None:
         calls = self.calls
@@ -216,11 +208,10 @@ class Environment:
         calls.pickup_time[cid] = self.clock
         self.metrics.calls_served += 1
         self.metrics.sum_delay += self.clock - calls.created_at[cid]
-        ox, oy = calls.origin_x[cid], calls.origin_y[cid]
-        x, y = self.fleet_state.columns[:2]
-        x[vid], y[vid] = ox, oy
-        drive = (abs(ox - calls.dest_x[cid]) + abs(oy - calls.dest_y[cid])) / self.speed
-        self.queue.push(self.clock + drive, ev.ARRIVAL_AT_DESTINATION, vid, cid, self.clock)
+        x, y, _, _, free_at, _ = self.fleet_state.columns
+        x[vid], y[vid] = calls.origin_x[cid], calls.origin_y[cid]
+        # the accepted proposal set free_at to this pickup's time plus the drive
+        self.queue.push(free_at[vid], ev.ARRIVAL_AT_DESTINATION, vid, cid, self.clock)
 
     def handle_arrival_at_destination(self, vid: int, cid: int) -> None:
         calls = self.calls

@@ -1,4 +1,4 @@
-"""Coordinates, time helpers and travel-time arithmetic.
+"""Coordinates, the bounding box and the weekly clock.
 
 All positions live in a normalized bounding box (unit box by default) and
 all times are real-valued minutes since simulation start.  Vehicle speed is
@@ -34,18 +34,6 @@ class BoundingBox(NamedTuple):
             and self.x_min <= x <= self.x_max
             and self.y_min <= y <= self.y_max
         )
-
-
-def manhattan_distance(a: Coordinate, b: Coordinate) -> float:
-    """L1 distance between two points, in box units."""
-    return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-
-def travel_time(dist: float, speed: float) -> float:
-    """Minutes needed to cover `dist` box units at `speed` units/minute."""
-    if speed <= 0.0:
-        raise ValueError(f"vehicle speed must be positive, got {speed}")
-    return dist / speed
 
 
 def minute_of_week(t: float, week_origin_offset: float = 0.0) -> float:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from dispatchsim import agent as agent_module
 from dispatchsim import harness
 from dispatchsim.agent import (
+    HEAD,
     MIN_SOJOURN,
     AgentConfig,
     DQNAgent,
@@ -121,7 +122,7 @@ def test_config_accepts_the_edges_of_its_ranges(field, value):
 
 
 class Stored(NamedTuple):
-    """One transition, as pushed or as read back from a buffer's columns."""
+    """One transition, as pushed or as read back from a buffer's records."""
 
     state_action: np.ndarray  # chosen (state, action) feature vector
     reward: float
@@ -130,12 +131,13 @@ class Stored(NamedTuple):
 
 
 def view(buf, slot):
-    live = bool(buf.next_rows[slot])
+    record = buf.records[slot]
+    reward, sojourn = HEAD.unpack_from(record)
     return Stored(
-        state_action=buf.gather(buf.state_action, [slot], buf.width)[0],
-        reward=buf.reward[slot],
-        sojourn=buf.sojourn[slot],
-        next_candidates=buf.next_candidates([slot])[0] if live else None,
+        state_action=np.frombuffer(record, np.float32, buf.width, HEAD.size),
+        reward=reward,
+        sojourn=sojourn,
+        next_candidates=buf.next_candidates([record])[0] if len(record) > buf.rows_at else None,
     )
 
 
@@ -199,7 +201,7 @@ def test_buffer_refuses_a_layout_without_varying_columns_in_its_rows(width, vary
 
 
 class ListBuffer:
-    """The replay buffer as a list of transitions: the layout the columns replace."""
+    """The replay buffer as a list of transitions: the layout the records encode."""
 
     def __init__(self, capacity):
         self.capacity = capacity
@@ -303,17 +305,21 @@ def check_fill_and_wrap(kind):
     assert_same_transitions(
         sample(buf, 200, np.random.default_rng(3)), ref.sample(200, np.random.default_rng(3))
     )
-    # the slots' bytes are exactly the varying columns of the rows held, and
-    # the flat arrays hold one chosen row and one set of shared values a slot
-    assert sum(map(len, buf.next_rows)) == 4 * (width - len(shared)) * sum(
-        0 if t.next_candidates is None else len(t.next_candidates) for t in ref.items
-    )
-    assert (len(buf.state_action), len(buf.shared)) == (width * capacity, len(shared) * capacity)
+    # each slot's record is its reward and sojourn, one chosen row, one set of
+    # shared values and exactly the varying columns of the rows it holds
+    varying_floats = width - len(shared)
+    assert [len(r) for r in buf.records] == [
+        HEAD.size + 4 * (width + len(shared))
+        + 4 * varying_floats * (0 if t.next_candidates is None else len(t.next_candidates))
+        for t in ref.items
+    ]
+    assert len(buf.records) == capacity
 
 
 def test_buffer_refuses_a_push_of_another_width():
     buf = ReplayBuffer(4, 3)
     buf.push(*random_transition(np.random.default_rng(0), 2, width=3))
+    held = buf.records[0]
     with pytest.raises(ValueError):
         buf.push(*random_transition(np.random.default_rng(1), None, width=4))
     with pytest.raises(ValueError):
@@ -322,9 +328,34 @@ def test_buffer_refuses_a_push_of_another_width():
         buf.push(np.zeros(3, np.float32), 0.0, 1.0, np.zeros(3, np.float32))
     with pytest.raises(ValueError):  # a live transition needs a next candidate
         buf.push(np.zeros(3, np.float32), 0.0, 1.0, np.zeros((0, 3), np.float32))
-    with pytest.raises(TypeError):  # refused before any column is written
+    with pytest.raises(TypeError):  # refused before any record is written
         buf.push(np.zeros(3, np.float32), None, 1.0, None)
-    assert buf.size == len(buf.next_rows) == 1 and len(buf.state_action) == buf.width == 3
+    assert buf.size == 1 and buf.records[0] is held and buf._next == 1
+
+
+def test_a_push_into_a_full_buffer_replaces_only_the_oldest_record():
+    buf = ReplayBuffer(3, 3)
+    rng = np.random.default_rng(6)
+    for rows in (2, None, 1):
+        buf.push(*random_transition(rng, rows))
+    held = list(buf.records)
+    item = random_transition(rng, 4)
+    buf.push(*item)
+    assert len(buf.records) == 3 and buf.records[0] is not held[0]
+    assert buf.records[1] is held[1] and buf.records[2] is held[2]
+    assert_same_transitions([view(buf, 0)], [item])
+    # a refused push into a full buffer leaves every record in place
+    held = list(buf.records)
+    with pytest.raises(ValueError):
+        buf.push(np.zeros(4, np.float32), 0.0, 1.0, None)
+    with pytest.raises(ValueError):
+        buf.push(np.zeros(3, np.float32), 0.0, 1.0, np.zeros((2, 4), np.float32))
+    with pytest.raises(TypeError):
+        buf.push(np.zeros(3, np.float32), None, 1.0, None)
+    assert len(buf.records) == 3 and all(r is h for r, h in zip(buf.records, held))
+    # and the next push still replaces the oldest
+    buf.push(*random_transition(rng, None))
+    assert buf.records[1] is not held[1] and buf.records[0] is held[0] and buf.records[2] is held[2]
 
 
 def test_new_call_buffer_keeps_each_vehicle_row_once():
@@ -332,8 +363,8 @@ def test_new_call_buffer_keeps_each_vehicle_row_once():
     item = random_transition(np.random.default_rng(4), 200, FEATURE_DIM, VARYING_COLUMNS["new_call"])
     a.buffer.push(*item)
     full = item.next_candidates.nbytes  # 200 x 15 float32: 12,000 bytes
-    held = len(a.buffer.next_rows[0]) + 4 * len(a.buffer.shared)
-    assert held == 200 * 7 * 4 + 8 * 4 <= 0.5 * full
+    held = len(a.buffer.records[0])  # the head, the chosen row, 8 shared and 200 x 7 varying floats
+    assert held == 16 + 4 * (15 + 8 + 200 * 7) == 5_708 <= 0.5 * full
     assert_same_transitions(snapshot(a.buffer), [item])
     # another name or input width shares no column
     for other in (agent("new_call", input_dim=4), agent("t", input_dim=FEATURE_DIM)):
@@ -369,9 +400,9 @@ def test_every_stored_slot_rebuilds_the_matrix_features_built(monkeypatch):
         for slot in slots:
             mat = handed[a.name, slot]
             if mat is None:
-                assert not buf.next_rows[slot]
+                assert len(buf.records[slot]) == buf.rows_at
             else:
-                rows, sizes = buf.next_candidates([slot])
+                rows, sizes = buf.next_candidates([buf.records[slot]])
                 assert rows.shape == mat.shape and sizes.tolist() == [len(mat)]
                 assert rows.tobytes() == mat.tobytes()
 

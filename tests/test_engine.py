@@ -5,7 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dispatchsim import events as ev
 from dispatchsim.engine import (
+    REPOSITION_HOLD_MIN,
     Environment,
     ProposalOutcome,
     SimulationAborted,
@@ -141,6 +143,22 @@ def test_reject_prob_one_always_driver_rejects():
     for i in range(20):
         outcome, _, _ = env.propose_assignment(0, i)
         assert outcome is ProposalOutcome.DRIVER_REJECTED
+
+
+@pytest.mark.parametrize("reject, wait, refusal", [
+    (1.0, 100.0, ProposalOutcome.DRIVER_REJECTED),
+    (0.0, 4.0, ProposalOutcome.CUSTOMER_REJECTED),  # 2 + 3 > 4
+])
+def test_a_refused_proposal_pools_the_call_and_arms_one_retry(reject, wait, refusal):
+    v = vehicle(0, 0.3, 0.0, reject=reject)  # eta = 3 min at speed 0.1
+    env = Environment([v], speed=0.1, driver_rng=np.random.default_rng(0))
+    env.calls = [call(0, 0.0, 0.0, 0.0, 0.5, 0.5, wait=wait)]
+    env.clock = 2.0
+    outcome, _, _ = env.propose_assignment(0, 0)
+    assert outcome is refusal
+    assert list(env.pool.ids) == [0] and not v.busy
+    assert len(env.queue) == 1
+    assert env.queue.pop() == (2.0 + REPOSITION_HOLD_MIN, 1, ev.REPOSITION_TIMEOUT, 0, -1)
 
 
 @pytest.mark.parametrize("speed", [math.nan, math.inf, 0.0, -1.0])

@@ -1,62 +1,6 @@
-import math
-
-import pytest
 from hypothesis import given, strategies as st
 
-from dispatchsim.geometry import (
-    Coordinate,
-    manhattan_distance,
-    minute_of_week,
-    travel_time,
-)
-
-coords = st.builds(
-    Coordinate,
-    st.floats(-10, 10, allow_nan=False),
-    st.floats(-10, 10, allow_nan=False),
-)
-
-
-def test_manhattan_examples():
-    assert manhattan_distance(Coordinate(0, 0), Coordinate(3, 4)) == 7
-    assert manhattan_distance(Coordinate(1, 1), Coordinate(1, 1)) == 0
-    # brute-force |dx| + |dy| check
-    a, b = Coordinate(2, -1), Coordinate(-1, 3)
-    assert manhattan_distance(a, b) == abs(a.x - b.x) + abs(a.y - b.y) == 7
-
-
-@given(coords, coords)
-def test_manhattan_symmetry(a, b):
-    assert manhattan_distance(a, b) == manhattan_distance(b, a)
-
-
-@given(coords, coords, coords)
-def test_manhattan_triangle_inequality(a, b, c):
-    assert manhattan_distance(a, c) <= manhattan_distance(a, b) + manhattan_distance(
-        b, c
-    ) + 1e-12
-
-
-@given(coords, coords)
-def test_manhattan_zero_iff_equal(a, b):
-    d = manhattan_distance(a, b)
-    assert (d == 0) == (a == b)
-
-
-def test_travel_time_examples():
-    assert travel_time(10, 0.5) == 20
-    assert travel_time(0, 3.0) == 0
-    # cross-check dist = speed * time
-    t = travel_time(7, 0.35)
-    assert math.isclose(0.35 * t, 7)
-    assert math.isclose(t, 20)
-
-
-def test_travel_time_rejects_bad_speed():
-    with pytest.raises(ValueError):
-        travel_time(1.0, 0.0)
-    with pytest.raises(ValueError):
-        travel_time(1.0, -1.0)
+from dispatchsim.geometry import minute_of_week
 
 
 def test_minute_of_week_examples():
