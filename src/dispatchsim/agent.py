@@ -2,9 +2,10 @@
 
 Two agents are trained, one per decision-epoch kind.  Each owns an online
 and a target network; the online network selects the best next candidate
-and the target network evaluates it.  Discounting is continuous-time:
-a transition observed after sojourn tau is discounted by gamma**tau
-(equivalently e**(-beta*tau) with beta = -ln(gamma)).
+and the target network evaluates it.  Discounting is continuous-time: a
+transition observed after sojourn tau is discounted by gamma**tau (that is,
+e**(-beta*tau) with beta = -ln(gamma)).  An agent holds one decision open
+at a time and stores it as one transition when it closes.
 
 Each agent's replay buffer keeps one byte string per transition, and a
 push takes the arrays the agent holds.  A record keeps its next
@@ -90,11 +91,11 @@ class ReplayBuffer:
     The layout is fixed at construction.  Rows are `width` floats, and a
     transition's next-candidate rows differ only in the columns lo:hi of the
     slice `varying` (all by default) and share the others.  `records[k]` is
-    the bytes of slot k: its reward and sojourn as float64, then, as
-    float32, its chosen row, its shared values (zeros if terminal) and the
-    varying columns of its candidates, row after row (none exactly when
-    terminal).  The list grows by appends up to `capacity` slots; then the
-    oldest record is replaced.
+    the bytes of slot k: one `front` (its reward and sojourn as float64 and
+    its chosen row as float32), then its shared values (zeros if terminal)
+    and the varying columns of its candidates, row after row (none exactly
+    when terminal), as float32.  The list grows by appends up to `capacity`
+    slots; then the oldest record is replaced.
     """
 
     def __init__(self, capacity: int, width: int, varying: slice = slice(None)):
@@ -104,7 +105,8 @@ class ReplayBuffer:
         if not 0 <= lo < hi <= width:
             raise ValueError(f"rows of {width} floats with columns {lo}:{hi} varying")
         self.capacity, self.width, self.lo, self.hi = capacity, width, lo, hi
-        self.shared_at = HEAD.size + 4 * width  # byte offsets in a record
+        self.front = np.dtype([("head", "f8", 2), ("row", "f4", width)])
+        self.shared_at = self.front.itemsize  # byte offsets in a record
         self.rows_at = self.shared_at + 4 * (width - hi + lo)
         self._next = 0  # the slot the next push writes
         self.records: List[bytes] = []
@@ -153,7 +155,13 @@ class ReplayBuffer:
 
 
 class DQNAgent:
-    """One decision agent with online/target networks and its replay buffer."""
+    """One decision agent with online/target networks and its replay buffer.
+
+    Its last decision is one open record `[state_action, clock, reward]`, the
+    reward None until the proposal resolves.  `close_decision` stores it at
+    the next epoch or as terminal at the day's end, and drops it if it never
+    resolved (a busy pick).  The target syncs every `update_steps` steps.
+    """
 
     def __init__(
         self,
@@ -174,11 +182,7 @@ class DQNAgent:
         self.epsilon = cfg.epsilon_max
         self.train_mode = True
         self.gradient_steps = 0
-        self._steps_since_sync = 0
-
-        # epoch bookkeeping
-        self._armed: Optional[tuple] = None  # (state_action, clock) awaiting an outcome
-        self._pending: Optional[tuple] = None  # (state_action, reward, clock) awaiting next
+        self._open: Optional[list] = None  # the last decision
 
         # learning-curve samples, 8 bytes each
         self.reward_history = array("d")
@@ -207,21 +211,21 @@ class DQNAgent:
 
     # -- transition recording -----------------------------------------------------
 
-    def _close_pending(self, clock: float, candidates: Optional[np.ndarray]) -> None:
-        """Push the pending transition; no next candidates means terminal."""
-        if self._pending is None:
-            return
-        state_action, reward, start = self._pending
-        # the buffer copies the rows
-        self.buffer.push(state_action, reward, max(clock - start, MIN_SOJOURN), candidates)
-        self._pending = None
+    def close_decision(self, clock: float, candidates: Optional[np.ndarray] = None) -> None:
+        """Close the open decision, storing it if it resolved; no candidates means terminal."""
+        decision, self._open = self._open, None
+        if decision is not None and decision[2] is not None:
+            state_action, start, reward = decision
+            # the buffer copies the rows
+            self.buffer.push(state_action, reward, max(clock - start, MIN_SOJOURN), candidates)
 
     def arm_decision(self, state_action: np.ndarray, clock: float) -> None:
-        self._armed = (state_action.copy(), clock)
+        self._open = [state_action.copy(), clock, None]
 
     def resolve_proposal(self, outcome: ProposalOutcome, eta: float, drive: float) -> None:
-        """Open a pending transition for the proposal just resolved."""
-        if self._armed is None:
+        """Give the open decision its proposal's reward; a decision resolves once."""
+        decision = self._open
+        if decision is None or decision[2] is not None:
             return
         if outcome is ProposalOutcome.ACCEPTED:
             reward = discounted_reward(
@@ -229,17 +233,10 @@ class DQNAgent:
             )
         else:
             reward = 0.0
-        state_action, clock = self._armed
-        self._pending = (state_action, reward, clock)
-        self._armed = None
+        decision[2] = reward
         self.reward_history.append(reward)
         if outcome is ProposalOutcome.ACCEPTED:
             self.train_step()
-
-    def finish_day(self, clock: float) -> None:
-        """Mark any pending transition terminal at the day boundary."""
-        self._close_pending(clock, None)
-        self._armed = None
 
     # -- learning ---------------------------------------------------------------
 
@@ -256,11 +253,11 @@ class DQNAgent:
             return None
         draw = self.explore_rng.integers(0, buf.size, size=self.cfg.batch_size)
         batch = [buf.records[s] for s in draw.tolist()]
-        chosen = b"".join([r[HEAD.size : buf.shared_at] for r in batch])
-        x = np.frombuffer(chosen, np.float32).reshape(len(batch), buf.width)
+        fronts = np.frombuffer(b"".join([r[: buf.shared_at] for r in batch]), buf.front)
+        x = np.ascontiguousarray(fronts["row"])
+        y = fronts["head"][:, 0].astype(np.float32)  # the rewards
         # Python floats: numpy's array ** differs from the scalar pow in the last bit
-        heads = [HEAD.unpack_from(r) for r in batch]
-        y = np.array([reward for reward, _ in heads], dtype=np.float32)
+        heads = fronts["head"].tolist()
         live = [i for i, r in enumerate(batch) if len(r) > buf.rows_at]
         if live:
             rows, sizes = buf.next_candidates([batch[i] for i in live])
@@ -280,14 +277,9 @@ class DQNAgent:
         loss = self.online.train_batch(x, y, self.cfg.learning_rate)
         self.loss_history.append(loss)
         self.gradient_steps += 1
-        self._steps_since_sync += 1
-        if self._steps_since_sync >= self.cfg.update_steps:
-            self.sync_target()
+        if self.gradient_steps % self.cfg.update_steps == 0:
+            self.target.copy_from(self.online)
         return loss
-
-    def sync_target(self) -> None:
-        self.target.copy_from(self.online)
-        self._steps_since_sync = 0
 
     def save(self, path) -> None:
         save_checkpoint(self.online, self.name, path)
@@ -326,15 +318,15 @@ class DQNPolicy(DispatchPolicy):
     def on_day_end(self, env):
         for agent in (self.new_call_agent, self.free_vehicle_agent):
             if agent.train_mode:
-                agent.finish_day(env.clock)
+                agent.close_decision(env.clock)
 
 
 def _decide(agent: DQNAgent, env, mat: np.ndarray, ids: list):
-    """One decision epoch: close the pending transition, act, arm the pick."""
+    """One decision epoch: close the open decision, act, arm the pick."""
     if not ids:
         return None
     if agent.train_mode:
-        agent._close_pending(env.clock, mat)
+        agent.close_decision(env.clock, mat)
     idx = agent.act(mat)
     if agent.train_mode:
         agent.arm_decision(mat[idx], env.clock)

@@ -66,7 +66,7 @@ class Environment:
 
     def __init__(
         self,
-        fleet: List[Vehicle],
+        fleet: Union[FleetState, List[Vehicle]],
         speed: float,
         driver_rng: np.random.Generator,
         week_origin_offset: float = 0.0,
@@ -76,8 +76,8 @@ class Environment:
     ):
         if not (math.isfinite(speed) and speed > 0.0):
             raise ValueError(f"vehicle speed must be finite and positive, got {speed}")
-        self.fleet = fleet
-        self.fleet_state = FleetState.adopt(fleet)
+        self.fleet = fleet  # a store is run as it is; standalone vehicles are adopted into one
+        self.fleet_state = fleet if isinstance(fleet, FleetState) else FleetState.adopt(fleet)
         self.speed = speed
         self.driver_rng = driver_rng
         self.week_origin_offset = week_origin_offset
@@ -187,7 +187,7 @@ class Environment:
     def handle_free_vehicle(self, vid: int) -> None:
         if not (self.fleet_state.idle_flags[vid] and self.pool):
             return
-        cid = self.free_vehicle_policy.choose_call(self, self.fleet[vid])
+        cid = self.free_vehicle_policy.choose_call(self, self.fleet_state.view(vid))
         if cid is None:
             return
         outcome, eta, drive = self.propose_assignment(vid, cid)
@@ -287,12 +287,12 @@ def build_fleet(
     placement_rng: np.random.Generator,
     rejection_rng: np.random.Generator,
     box: BoundingBox = BoundingBox(),
-) -> List[Vehicle]:
+) -> FleetState:
     """Fleet with uniform initial placement and beta-sampled rejection probs.
 
-    The vehicles are views onto one n-row `FleetState`.  Draws per vehicle,
-    in id order: x then y from `placement_rng`, then the rejection
-    probability from `rejection_rng`; one generator may serve as both.
+    One n-row `FleetState`, which a day runs on, as on `build_calls`' table.
+    Draws per vehicle, in id order: x then y from `placement_rng`, then the
+    rejection probability from `rejection_rng`; one generator may serve as both.
     """
     xs, ys, rejects = [], [], []
     for _ in range(n):
@@ -303,11 +303,11 @@ def build_fleet(
     state.x[:] = state.dest_x[:] = xs
     state.y[:] = state.dest_y[:] = ys
     state.reject_prob[:] = rejects
-    return state.views()
+    return state
 
 
 def run_day(
-    fleet: List[Vehicle],
+    fleet: Union[FleetState, List[Vehicle]],
     calls: Union[CallTable, Sequence[Call]],
     new_call_policy,
     free_vehicle_policy,
@@ -320,17 +320,19 @@ def run_day(
 ) -> DayMetrics:
     """Simulate one day: drain all events generated by the given calls.
 
-    `calls` is a `CallTable` whose rows are in arrival order, or calls with
-    ids 0..n-1 in arrival order, which the day adopts into one table.  Only
-    the new-call events are armed up-front, one push per call in id order,
-    straight from the table's `created_at` column; since their times never
-    decrease, the queue keeps them all as columns (see `EventQueue`).  Each
-    new-call epoch arms its call's cancellation at `created_at + max_wait`.
-    Events due at the same time pop in push order, so a cancellation pops
-    after the new calls of its time and after the vehicle events of its
-    time that were pushed before its call arrived.  Under the package's
-    policies none of those reads the pool or the canceled call, so the
-    day's outcome does not depend on that order.
+    `fleet` is a `FleetState`, which the day runs on in place, or vehicles
+    with ids 0..n-1, which it adopts into one store; `calls` is a `CallTable`
+    whose rows are in arrival order, or calls with ids 0..n-1 in arrival
+    order, which it adopts into one table.  Only the new-call events are
+    armed up-front, one push per call in id order, straight from the
+    `created_at` column; since their times never decrease, the queue keeps
+    them all as columns (see `EventQueue`).  Each new-call epoch arms its
+    call's cancellation at `created_at + max_wait`.  Events due at the same
+    time pop in push order, so a cancellation pops after the new calls of
+    its time and after the vehicle events of its time that were pushed
+    before its call arrived.  Under the package's policies none of those
+    reads the pool or the canceled call, so the day's outcome does not
+    depend on that order.
     """
     env = Environment(
         fleet,

@@ -66,75 +66,8 @@ CALL_FLOATS = (
     "assigned_at", "pickup_time", "completion_time", "canceled_at",
 )
 
-_new_tuple = tuple.__new__  # Coordinate(x, y) without its Python-level constructor
-
-
-class CallTable:
-    """Per-call state as columns, one row per call; calls are views onto rows.
-
-    `floats` holds the `CALL_FLOATS` columns as rows, nan for a time not yet
-    reached.  `columns` holds a memoryview onto each, also kept as the
-    attribute of the column's name; scalar access through a memoryview costs
-    about half of numpy indexing and gives Python values.  `status` (int8
-    codes of `STATUSES`) and `assigned_vehicle` (a C int, -1 for none) are
-    memoryviews too; `np.asarray` gives the array under any of them.  Row r
-    is call `first_id + r`.  A row's status history is `PATHS` of its
-    status, so `history(row)` keeps nothing per row.
-    """
-
-    def __init__(self, n: int, first_id: int = 0):
-        self.first_id = first_id
-        self.floats = np.full((len(CALL_FLOATS), n), np.nan)
-        self.columns = tuple(map(memoryview, self.floats))
-        (self.origin_x, self.origin_y, self.dest_x, self.dest_y, self.created_at, self.max_wait,
-         self.assigned_at, self.pickup_time, self.completion_time, self.canceled_at) = self.columns
-        self.status = memoryview(np.zeros(n, dtype=np.int8))  # all waiting
-        self.assigned_vehicle = memoryview(np.full(n, -1, dtype=np.intc))
-
-    @classmethod
-    def adopt(cls, calls: Sequence["Call"]) -> "CallTable":
-        """One table holding `calls`' current state; each call is rebound to its row.
-
-        A refusal leaves every call on its old table.
-        """
-        _check_ids(calls, "calls", "call")
-        table = cls(len(calls))
-        for i, c in enumerate(calls):
-            table.floats[:, i] = c.table.floats[:, c.row]
-            table.status[i] = c.table.status[c.row]
-            table.assigned_vehicle[i] = c.table.assigned_vehicle[c.row]
-        for i, c in enumerate(calls):
-            c.table, c.row = table, i
-        return table
-
-    def __len__(self) -> int:
-        return len(self.status)
-
-    def view(self, row: int) -> "Call":
-        c = _new_call(Call)
-        c.id, c.table, c.row = self.first_id + row, self, row
-        return c
-
-    def __getitem__(self, row: int) -> "Call":
-        return self.view(range(len(self.status))[row])
-
-    def __iter__(self):
-        return map(self.view, range(len(self.status)))
-
-    values = __iter__
-
-    def set_status(self, row: int, code: int) -> None:
-        old = self.status[row]
-        if not _EDGE[old * len(STATUSES) + code]:
-            raise ValueError(
-                f"call {self.first_id + row}: illegal status transition "
-                f"{STATUSES[old].value} -> {STATUSES[code].value}"
-            )
-        self.status[row] = code
-
-    def history(self, row: int) -> list:
-        """Row `row`'s statuses in order: a fresh list of its status's path."""
-        return list(PATHS[self.status[row]])
+_new = object.__new__  # a view without its Python-level constructor
+_new_tuple = tuple.__new__  # Coordinate(x, y) likewise
 
 
 def _column(col: int, optional: bool = False) -> property:
@@ -164,11 +97,47 @@ def _place(col: int) -> property:
     return property(get, put)
 
 
-def _check_ids(items: Sequence, name: str, kind: str) -> None:
-    """Refuse `items` unless item i has id i: the engine indexes calls and vehicles by id."""
-    for i, item in enumerate(items):
-        if item.id != i:
-            raise ValueError(f"{name}[{i}] has id {item.id}; {kind} ids must be 0..n-1 in order")
+class Table:
+    """The base of `CallTable` and `FleetState`: column r of `floats` is item `first_id + r`.
+
+    An item is a view `(id, table, row)` of the subclass's `item` class;
+    `view(row)` makes one, and `len`, indexing and iteration give them.
+    """
+
+    first_id = 0
+
+    def __len__(self) -> int:
+        return self.floats.shape[1]
+
+    def view(self, row: int):
+        item = _new(self.item)
+        item.id, item.table, item.row = self.first_id + row, self, row
+        return item
+
+    def __getitem__(self, row: int):
+        return self.view(range(len(self))[row])
+
+    def __iter__(self):
+        return map(self.view, range(len(self)))
+
+    @classmethod
+    def adopt(cls, items: Sequence):
+        """One store holding `items`' current state; each item is rebound to its row.
+
+        Item i must have id i, as the engine indexes by id.  Each id is
+        checked as its row is filled (`_take`: the non-float columns), and
+        no item is rebound before all are, so a refusal changes no item.
+        """
+        table = cls(len(items))
+        for i, item in enumerate(items):
+            if item.id != i:
+                raise ValueError(
+                    f"{cls.label}[{i}] has id {item.id}; {cls.kind} ids must be 0..n-1 in order")
+            table.floats[:, i] = item.table.floats[:, item.row]
+            table._take(i, item.table, item.row)
+        for i, item in enumerate(items):
+            item.table, item.row = table, i
+        return table
 
 
 class Call:
@@ -242,7 +211,48 @@ class Call:
         self.table.set_status(self.row, STATUS_CODES[new])
 
 
-_new_call = Call.__new__
+class CallTable(Table):
+    """Per-call state as columns, one row per call; calls are views onto rows.
+
+    `floats` holds the `CALL_FLOATS` columns as rows, nan for a time not yet
+    reached.  `columns` holds a memoryview onto each, also kept as the
+    attribute of the column's name; scalar access through a memoryview costs
+    about half of numpy indexing and gives Python values.  `status` (int8
+    codes of `STATUSES`) and `assigned_vehicle` (a C int, -1 for none) are
+    memoryviews too; `np.asarray` gives the array under any of them.  Row r
+    is call `first_id + r`, and `view`, indexing, iteration and `values()`
+    give calls (see `Table`).  A row's status history is `PATHS` of its
+    status, so `history(row)` keeps nothing per row.
+    """
+
+    item, label, kind = Call, "calls", "call"
+
+    def __init__(self, n: int, first_id: int = 0):
+        self.first_id = first_id
+        self.floats = np.full((len(CALL_FLOATS), n), np.nan)
+        self.columns = tuple(map(memoryview, self.floats))
+        (self.origin_x, self.origin_y, self.dest_x, self.dest_y, self.created_at, self.max_wait,
+         self.assigned_at, self.pickup_time, self.completion_time, self.canceled_at) = self.columns
+        self.status = memoryview(np.zeros(n, dtype=np.int8))  # all waiting
+        self.assigned_vehicle = memoryview(np.full(n, -1, dtype=np.intc))
+
+    def _take(self, row: int, src: "CallTable", at: int) -> None:
+        self.status[row], self.assigned_vehicle[row] = src.status[at], src.assigned_vehicle[at]
+
+    values = Table.__iter__
+
+    def set_status(self, row: int, code: int) -> None:
+        old = self.status[row]
+        if not _EDGE[old * len(STATUSES) + code]:
+            raise ValueError(
+                f"call {self.first_id + row}: illegal status transition "
+                f"{STATUSES[old].value} -> {STATUSES[code].value}"
+            )
+        self.status[row] = code
+
+    def history(self, row: int) -> list:
+        """Row `row`'s statuses in order: a fresh list of its status's path."""
+        return list(PATHS[self.status[row]])
 
 
 class CallPool:
@@ -304,72 +314,6 @@ class CallPool:
             del ids[slot]
 
 
-class FleetState:
-    """Per-vehicle state as columns, one row per vehicle; vehicles are views onto rows.
-
-    The float columns are the rows of one `floats` block, in the order of
-    candidate features 0-5; `columns` holds a memoryview onto each, for
-    scalar access by vehicle id.  `idle` is the uint8 mask that the
-    nearest-idle scan takes (`idle_flags` is a memoryview onto it), and
-    `idle_ids` the increasing ids of the vehicles whose flag is 1; a
-    vehicle is busy exactly when its flag is 0.  `set_busy` is the one
-    write path of the mask and the ids.  Row r is vehicle r, and
-    `view(r)` gives it, as `CallTable.view` gives a call.
-    """
-
-    def __init__(self, n: int):
-        self.floats = np.zeros((6, n))
-        self.x, self.y, self.dest_x, self.dest_y, self.free_at, self.reject_prob = self.floats
-        self.columns = tuple(map(memoryview, self.floats))
-        self.idle = np.ones(n, dtype=np.uint8)
-        self.idle_flags = memoryview(self.idle)
-        self.idle_ids: List[int] = list(range(n))
-
-    @classmethod
-    def adopt(cls, fleet: Sequence["Vehicle"]) -> "FleetState":
-        """One store holding `fleet`'s current state; each vehicle is rebound to its row.
-
-        A refusal leaves every vehicle on its old store.
-        """
-        _check_ids(fleet, "fleet", "vehicle")
-        state = cls(len(fleet))
-        for i, v in enumerate(fleet):
-            state.floats[:, i] = v.table.floats[:, v.row]
-            state.set_busy(i, v.busy)
-        for i, v in enumerate(fleet):
-            v.table, v.row = state, i
-        return state
-
-    def set_busy(self, vid: int, busy: bool) -> None:
-        """Mark vehicle `vid` busy or idle in the mask and in `idle_ids`."""
-        if self.idle_flags[vid] != busy:  # already in that state
-            return
-        ids = self.idle_ids
-        if busy:
-            del ids[bisect_left(ids, vid)]
-            self.idle_flags[vid] = 0
-        else:
-            insort(ids, vid)
-            self.idle_flags[vid] = 1
-
-    def set_idle(self, vid: int, x: float, y: float) -> None:
-        """Vehicle `vid` stands idle at (x, y) with nowhere to go."""
-        x_, y_, dest_x, dest_y, free_at = self.columns[:5]
-        x_[vid] = dest_x[vid] = x
-        y_[vid] = dest_y[vid] = y
-        free_at[vid] = 0.0
-        self.set_busy(vid, False)
-
-    def view(self, row: int) -> "Vehicle":
-        v = _new_vehicle(Vehicle)
-        v.id, v.table, v.row = row, self, row
-        return v
-
-    def views(self) -> List["Vehicle"]:
-        """One vehicle per row, vehicle i a view onto row i; the rows keep their values."""
-        return list(map(self.view, range(len(self.idle))))
-
-
 class Vehicle:
     """A fleet unit: a view onto row `row` of the `FleetState` `table`.
 
@@ -409,4 +353,48 @@ class Vehicle:
         self.table.set_idle(self.row, *at)
 
 
-_new_vehicle = Vehicle.__new__
+class FleetState(Table):
+    """Per-vehicle state as columns, one row per vehicle; vehicles are views onto rows.
+
+    The float columns are the rows of one `floats` block, in the order of
+    candidate features 0-5; `columns` holds a memoryview onto each, for
+    scalar access by vehicle id.  `idle` is the uint8 mask that the
+    nearest-idle scan takes (`idle_flags` is a memoryview onto it), and
+    `idle_ids` the increasing ids of the vehicles whose flag is 1; a
+    vehicle is busy exactly when its flag is 0.  `set_busy` is the one
+    write path of the mask and the ids.  Row r is vehicle r (see `Table`),
+    so a store is a fleet wherever the engine takes one.
+    """
+
+    item, label, kind = Vehicle, "fleet", "vehicle"
+
+    def __init__(self, n: int):
+        self.floats = np.zeros((6, n))
+        self.x, self.y, self.dest_x, self.dest_y, self.free_at, self.reject_prob = self.floats
+        self.columns = tuple(map(memoryview, self.floats))
+        self.idle = np.ones(n, dtype=np.uint8)
+        self.idle_flags = memoryview(self.idle)
+        self.idle_ids: List[int] = list(range(n))
+
+    def _take(self, row: int, src: "FleetState", at: int) -> None:
+        self.set_busy(row, not src.idle_flags[at])
+
+    def set_busy(self, vid: int, busy: bool) -> None:
+        """Mark vehicle `vid` busy or idle in the mask and in `idle_ids`."""
+        if self.idle_flags[vid] != busy:  # already in that state
+            return
+        ids = self.idle_ids
+        if busy:
+            del ids[bisect_left(ids, vid)]
+            self.idle_flags[vid] = 0
+        else:
+            insort(ids, vid)
+            self.idle_flags[vid] = 1
+
+    def set_idle(self, vid: int, x: float, y: float) -> None:
+        """Vehicle `vid` stands idle at (x, y) with nowhere to go."""
+        x_, y_, dest_x, dest_y, free_at = self.columns[:5]
+        x_[vid] = dest_x[vid] = x
+        y_[vid] = dest_y[vid] = y
+        free_at[vid] = 0.0
+        self.set_busy(vid, False)

@@ -284,8 +284,11 @@ def run_evaluation(
     Demand/fleet streams are keyed by (seed, day) only, so every policy sees
     the identical day; evaluation streams are disjoint from training streams.
     Each policy is named once: a repeated one's days would be counted twice.
+    No `policy_names` means the config's list; an empty list is refused.
     """
-    policy_names = policy_names or cfg.policy_list
+    policy_names = cfg.policy_list if policy_names is None else policy_names
+    if not policy_names:
+        raise ValueError("no policy to evaluate")
     for i, name in enumerate(policy_names):
         if name not in VALID_POLICIES:
             raise ValueError(f"unknown policy {name!r}")

@@ -376,15 +376,16 @@ def test_every_stored_slot_rebuilds_the_matrix_features_built(monkeypatch):
     # while `features` writes them into every row as one broadcast
     handed = {}  # (agent, slot) -> the last candidate matrix pushed there
     pushed = []  # the agent of every push
-    close_pending = DQNAgent._close_pending
+    close_decision = DQNAgent.close_decision
 
-    def record(self, clock, candidates):
-        if self._pending is not None:
-            handed[self.name, self.buffer._next] = None if candidates is None else candidates.copy()
+    def record(self, clock, candidates=None):
+        slot = self.buffer._next
+        close_decision(self, clock, candidates)
+        if self.buffer._next != slot:  # the close stored its transition in `slot`
+            handed[self.name, slot] = None if candidates is None else candidates.copy()
             pushed.append(self.name)
-        close_pending(self, clock, candidates)
 
-    monkeypatch.setattr(DQNAgent, "_close_pending", record)
+    monkeypatch.setattr(DQNAgent, "close_decision", record)
     cfg = parse_lines([
         "seed=5", "train_daily_calls=120", "train_days=2", "scenarios=hard,easy",
         "learning_starts=50", "batch_size=8", "update_steps=40", "buffer_capacity=150",
@@ -535,7 +536,7 @@ def test_pending_transition_completes_at_next_epoch():
     a.resolve_proposal(ProposalOutcome.ACCEPTED, eta=2.0, drive=4.0)
     assert a.buffer.size == 0  # still pending
     nxt = cands(0.5, 0.6)
-    a._close_pending(16.0, nxt)
+    a.close_decision(16.0, nxt)
     assert a.buffer.size == 1
     t = snapshot(a.buffer)[0]
     np.testing.assert_array_equal(t.state_action, feat(1.0))
@@ -550,7 +551,7 @@ def test_rejected_proposal_stores_zero_reward():
     for outcome in (ProposalOutcome.DRIVER_REJECTED, ProposalOutcome.CUSTOMER_REJECTED):
         a.arm_decision(feat(2.0), clock=0.0)
         a.resolve_proposal(outcome, eta=1.0, drive=1.0)
-        a._close_pending(3.0, cands(0.0))
+        a.close_decision(3.0, cands(0.0))
     rewards = [t.reward for t in snapshot(a.buffer)]
     assert rewards == [0.0, 0.0]
 
@@ -559,7 +560,7 @@ def test_day_end_marks_pending_terminal():
     a = agent()
     a.arm_decision(feat(3.0), clock=100.0)
     a.resolve_proposal(ProposalOutcome.ACCEPTED, eta=1.0, drive=1.0)
-    a.finish_day(clock=1440.0)
+    a.close_decision(clock=1440.0)
     t = snapshot(a.buffer)[0]
     assert t.next_candidates is None
     assert t.sojourn == pytest.approx(1340.0)
@@ -569,21 +570,41 @@ def test_same_timestamp_epochs_get_positive_sojourn():
     a = agent()
     a.arm_decision(feat(1.0), clock=50.0)
     a.resolve_proposal(ProposalOutcome.ACCEPTED, eta=1.0, drive=1.0)
-    a._close_pending(50.0, cands(0.0))
+    a.close_decision(50.0, cands(0.0))
     assert snapshot(a.buffer)[0].sojourn == MIN_SOJOURN
 
 
 def test_epoch_without_pending_records_nothing():
     a = agent()
-    a._close_pending(5.0, cands(0.0))
+    a.close_decision(5.0, cands(0.0))
     assert a.buffer.size == 0
 
 
 def test_unarmed_resolution_is_ignored():
     a = agent()
     a.resolve_proposal(ProposalOutcome.ACCEPTED, eta=1.0, drive=1.0)
-    a._close_pending(5.0, cands(0.0))
+    a.close_decision(5.0, cands(0.0))
     assert a.buffer.size == 0
+
+
+@pytest.mark.parametrize("candidates", [cands(0.0), None], ids=["next_epoch", "day_end"])
+def test_an_unresolved_decision_stores_nothing_and_stays_closed(candidates):
+    a = agent()
+    a.arm_decision(feat(1.0), clock=10.0)  # a busy pick: no proposal resolves it
+    a.close_decision(12.0, candidates)
+    a.resolve_proposal(ProposalOutcome.ACCEPTED, eta=1.0, drive=1.0)  # too late
+    a.close_decision(20.0, candidates)
+    assert a.buffer.size == 0 and list(a.reward_history) == []
+
+
+def test_a_second_resolution_changes_nothing():
+    a = agent()
+    a.arm_decision(feat(1.0), clock=10.0)
+    a.resolve_proposal(ProposalOutcome.DRIVER_REJECTED, eta=1.0, drive=1.0)
+    a.resolve_proposal(ProposalOutcome.ACCEPTED, eta=2.0, drive=4.0)
+    assert list(a.reward_history) == [0.0]
+    a.close_decision(16.0, cands(0.5))
+    assert [(t.reward, t.sojourn) for t in snapshot(a.buffer)] == [(0.0, 6.0)]
 
 
 # -- learning updates -------------------------------------------------------------------

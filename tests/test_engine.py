@@ -16,7 +16,7 @@ from dispatchsim.engine import (
 )
 from dispatchsim.demand import StochasticConfig
 from dispatchsim.config import parse_lines
-from dispatchsim.entities import Call, CallStatus, CallTable, Vehicle
+from dispatchsim.entities import Call, CallStatus, CallTable, FleetState, Vehicle
 from dispatchsim.events import CausalityError
 from dispatchsim.harness import build_calls, demand_source_from_config
 from dispatchsim.geometry import Coordinate
@@ -221,7 +221,7 @@ def test_empty_day_zero_metrics():
 def test_build_fleet_is_one_store_of_views():
     fleet = build_fleet(5, StochasticConfig(), np.random.default_rng(0), np.random.default_rng(1))
     store = fleet[0].table
-    assert store.floats.shape == (6, 5)
+    assert store is fleet and isinstance(fleet, FleetState) and store.floats.shape == (6, 5)
     assert [v.id for v in fleet] == [v.row for v in fleet] == list(range(5))
     assert all(v.table is store for v in fleet)
     assert all(v.location == v.move_destination and not v.busy and v.free_at == 0.0 for v in fleet)
@@ -229,7 +229,7 @@ def test_build_fleet_is_one_store_of_views():
 
 
 def test_a_1000_vehicle_fleet_keeps_each_fact_once():
-    # six float64 columns are 48 KB; a vehicle is three slots over them.  The
+    # six float64 columns are 48 KB, and the store makes no vehicle.  The
     # generators are made first, as the first one imports `numpy.random`.
     rngs = np.random.default_rng(0), np.random.default_rng(1)
     tracemalloc.start()
@@ -238,7 +238,7 @@ def test_a_1000_vehicle_fleet_keeps_each_fact_once():
         traced, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(fleet) == 1000 and traced <= 250_000
+    assert len(fleet) == 1000 and traced <= 100_000
 
 
 def _random_day(seed, policy_cls=NearestPolicy):

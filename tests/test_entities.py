@@ -290,7 +290,7 @@ toggles = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 2)), max_size=60)
 @settings(max_examples=100)
 @given(toggles, toggles)
 def test_idle_ids_follow_the_idle_mask(before, after):
-    fleet = FleetState(8).views()
+    fleet = list(FleetState(8))
     state = fleet[0].table
     _assert_idle_index(state)
 

@@ -9,6 +9,8 @@ import pytest
 from dispatchsim import harness
 from dispatchsim.config import parse_lines
 from dispatchsim.engine import DayMetrics
+from dispatchsim.entities import FleetState
+from dispatchsim.policies import NearestPolicy
 from dispatchsim.harness import (
     PER_DAY_HEADER,
     REPORT_HEADER,
@@ -220,6 +222,35 @@ def test_evaluation_refuses_a_repeated_or_unknown_policy_before_any_day(names, r
     with pytest.raises(ValueError, match=refusal):
         run_evaluation(small_cfg(), policy_names=names, out_dir=str(tmp_path))
     assert days == [] and list(tmp_path.iterdir()) == []
+
+
+def test_evaluation_refuses_an_empty_policy_list_before_any_day(tmp_path, monkeypatch):
+    days = []
+    monkeypatch.setattr(harness, "simulate_day", lambda *args: days.append(args) or DayMetrics())
+    with pytest.raises(ValueError, match=r"^no policy to evaluate$"):
+        run_evaluation(small_cfg(), policy_names=[], out_dir=str(tmp_path))
+    assert days == [] and list(tmp_path.iterdir()) == []
+    run_evaluation(small_cfg())  # no list at all still means the config's policies
+    assert sorted({policy.name for _cfg, _source, _scenario, policy, *_ in days}) == ["fifo", "nn"]
+
+
+def test_a_day_builds_one_fleet_store_and_runs_on_it(monkeypatch):
+    made, ran = [], []
+    init = FleetState.__init__
+
+    def counted(self, n):
+        made.append(self)
+        init(self, n)
+
+    class Keeping(NearestPolicy):
+        def on_day_end(self, env):
+            ran.append(env.fleet_state)
+
+    monkeypatch.setattr(FleetState, "__init__", counted)
+    cfg = small_cfg()
+    source = demand_source_from_config(cfg, 60)
+    simulate_day(cfg, source, cfg.scenario_list[0], Keeping(), 11, ("t",), 0, 60)
+    assert len(made) == 1 and ran[0] is made[0]
 
 
 def test_records_mode_requires_path():
